@@ -275,9 +275,9 @@ func BenchmarkTable6(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			proofs := make([][][]byte, leaves)
+			proofs := make([][]byte, leaves)
 			for i := range proofs {
-				if proofs[i], err = tree.Proof(i); err != nil {
+				if proofs[i], err = tree.AppendProof(nil, i); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -312,8 +312,9 @@ func BenchmarkFig5(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				proof := make([]byte, 0, tree.ProofDepth()*s.Size())
 				for j := 0; j < n; j++ {
-					if _, err := tree.Proof(j); err != nil {
+					if _, err := tree.AppendProof(proof, j); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -77,7 +77,8 @@ func (d *driver) toB(raw []byte) {
 			return
 		}
 	}
-	if hdr, _, err := packet.Decode(raw); err == nil && d.holdTypes[hdr.Type] {
+	var p packet.Packet
+	if err := p.Decode(raw); err == nil && d.holdTypes[p.Type] {
 		d.held = append(d.held, raw)
 		return
 	}
@@ -92,7 +93,8 @@ func (d *driver) toA(raw []byte) {
 			return
 		}
 	}
-	if hdr, _, err := packet.Decode(raw); err == nil && d.holdTypes[hdr.Type] {
+	var p packet.Packet
+	if err := p.Decode(raw); err == nil && d.holdTypes[p.Type] {
 		d.held = append(d.held, raw)
 		return
 	}

@@ -129,12 +129,13 @@ func runFig3() error {
 	fmt.Println()
 	dump := func(dir string, raws [][]byte) {
 		for _, raw := range raws {
-			hdr, msg, err := packet.Decode(raw)
-			if err != nil {
+			var p packet.Packet
+			if err := p.Decode(raw); err != nil {
 				continue
 			}
+			hdr := p.Header
 			desc := ""
-			switch m := msg.(type) {
+			switch m := p.Body().(type) {
 			case *packet.S1:
 				desc = fmt.Sprintf("h^Ss[%d], MAC(h^Ss[%d]|m)", m.AuthIdx, m.KeyIdx)
 			case *packet.A1:
@@ -239,11 +240,11 @@ func runWSN() error {
 	if err != nil {
 		return err
 	}
-	o, err := amt.Open(3, true)
+	o, err := amt.Open(nil, 3, true)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nFig. 7 AMT sanity: 8-message tree, opening (msg 3, ack) verifies: %v\n",
-		merkle.VerifyOpening(s, key, amt.Root(), 8, o))
+		merkle.VerifyOpening(s, key, amt.Root(), 8, &o))
 	return nil
 }

@@ -40,11 +40,10 @@ func NewTamperNode(net *netsim.Network, name string, replacement []byte) *Tamper
 
 // Receive implements netsim.Handler.
 func (tn *TamperNode) Receive(net *netsim.Network, now time.Time, pkt netsim.Packet) {
-	hdr, msg, err := packet.Decode(pkt.Data)
-	if err == nil && hdr.Type == packet.TypeS2 && (tn.Limit <= 0 || int(tn.Tampered) < tn.Limit) {
-		s2 := msg.(*packet.S2)
-		s2.Payload = append([]byte(nil), tn.Replacement...)
-		if raw, err := packet.Encode(hdr, s2); err == nil {
+	var p packet.Packet
+	if err := p.Decode(pkt.Data); err == nil && p.Type == packet.TypeS2 && (tn.Limit <= 0 || int(tn.Tampered) < tn.Limit) {
+		p.S2.Payload = tn.Replacement
+		if raw, err := packet.Encode(p.Header, &p.S2); err == nil {
 			tn.Tampered++
 			pkt.Data = raw
 		}
@@ -75,8 +74,8 @@ func NewReplayNode(net *netsim.Network, name string, types ...packet.Type) *Repl
 
 // Receive implements netsim.Handler: capture, then forward faithfully.
 func (rn *ReplayNode) Receive(net *netsim.Network, now time.Time, pkt netsim.Packet) {
-	hdr, _, err := packet.Decode(pkt.Data)
-	if err == nil && (rn.Filter == nil || rn.Filter[hdr.Type]) {
+	var p packet.Packet
+	if err := p.Decode(pkt.Data); err == nil && (rn.Filter == nil || rn.Filter[p.Type]) {
 		cp := pkt
 		cp.Data = append([]byte(nil), pkt.Data...)
 		rn.Captured = append(rn.Captured, cp)
@@ -151,7 +150,7 @@ func (fn *FloodNode) forge() []byte {
 	var msg packet.Message
 	switch fn.Kind {
 	case packet.TypeS1:
-		msg = &packet.S1{Mode: packet.ModeBase, AuthIdx: 1, Auth: junk, KeyIdx: 2, MACs: [][]byte{junk}}
+		msg = &packet.S1{Mode: packet.ModeBase, AuthIdx: 1, Auth: junk, KeyIdx: 2, MACBlock: junk}
 	default:
 		h.Type = packet.TypeS2
 		msg = &packet.S2{Mode: packet.ModeBase, KeyIdx: 2, Key: junk, Payload: payload}
@@ -291,8 +290,8 @@ func (bp *BypassPair) Receive(net *netsim.Network, now time.Time, pkt netsim.Pac
 		net.Transmit(netsim.Packet{From: bp.Name, To: hop, Origin: pkt.Origin, Dest: pkt.Dest, Data: pkt.Data})
 		return
 	}
-	hdr, _, err := packet.Decode(pkt.Data)
-	if err == nil && bp.Divert && hdr.Type != packet.TypeHS1 && hdr.Type != packet.TypeHS2 {
+	var p packet.Packet
+	if err := p.Decode(pkt.Data); err == nil && bp.Divert && p.Type != packet.TypeHS1 && p.Type != packet.TypeHS2 {
 		bp.Diverted++
 		net.Transmit(netsim.Packet{From: bp.Name, To: bp.Downstream, Origin: pkt.Origin, Dest: pkt.Dest, Data: pkt.Data})
 		return

@@ -109,7 +109,7 @@ func TestCMProofShorterThanM(t *testing.T) {
 		h.mangle = func(raw []byte) []byte {
 			hdr, msg, err := packet.Decode(raw)
 			if err == nil && hdr.Type == packet.TypeS2 && proofLen < 0 {
-				proofLen = len(msg.(*packet.S2).Proof)
+				proofLen = len(msg.(*packet.S2).Proof) / cfg.Suite.Size()
 			}
 			return raw
 		}

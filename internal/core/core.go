@@ -334,14 +334,9 @@ var (
 	tagPreNack = []byte("ALPHA-ack-0")
 )
 
-// PreAckDigest computes the pre-ack value carried in an A1:
-// H(key | "1" | secret) in the paper's notation.
-func PreAckDigest(s suite.Suite, key, secret []byte) []byte {
-	return AppendPreAckDigest(s, nil, key, secret)
-}
-
-// AppendPreAckDigest is PreAckDigest appending to dst (allocation-free when
-// dst has capacity).
+// AppendPreAckDigest appends the pre-ack value carried in an A1,
+// H(key | "1" | secret) in the paper's notation, to dst (allocation-free
+// when dst has capacity).
 func AppendPreAckDigest(s suite.Suite, dst, key, secret []byte) []byte {
 	sc := suite.GetScratch()
 	sc.Parts[0], sc.Parts[1], sc.Parts[2] = tagPreAck, key, secret
@@ -350,12 +345,8 @@ func AppendPreAckDigest(s suite.Suite, dst, key, secret []byte) []byte {
 	return dst
 }
 
-// PreNackDigest computes the pre-nack value carried in an A1.
-func PreNackDigest(s suite.Suite, key, secret []byte) []byte {
-	return AppendPreNackDigest(s, nil, key, secret)
-}
-
-// AppendPreNackDigest is PreNackDigest appending to dst.
+// AppendPreNackDigest appends the pre-nack value carried in an A1,
+// H(key | "0" | secret), to dst.
 func AppendPreNackDigest(s suite.Suite, dst, key, secret []byte) []byte {
 	sc := suite.GetScratch()
 	sc.Parts[0], sc.Parts[1], sc.Parts[2] = tagPreNack, key, secret

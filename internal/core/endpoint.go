@@ -323,43 +323,57 @@ func (e *Endpoint) Handle(now time.Time, datagram []byte) ([]Event, error) {
 }
 
 // handleRaw decodes and dispatches one packet; allowBundle guards against
-// nested bundles (the codec rejects them too, belt and braces).
+// nested bundles (the codec rejects them too, belt and braces). The decoded
+// packet lives on this frame and aliases datagram: the handlers copy
+// whatever they keep past the call.
 func (e *Endpoint) handleRaw(now time.Time, datagram []byte, allowBundle bool) []Event {
 	e.spanStep, e.spanRole, e.spanKey = 0, 0, 0
-	hdr, msg, err := packet.Decode(datagram)
-	if err != nil {
+	var p packet.Packet
+	if err := p.Decode(datagram); err != nil {
 		return e.drop(0, fmt.Errorf("undecodable packet: %w", err))
 	}
+	hdr := p.Header
 	if hdr.Suite != e.suite.ID() {
 		return e.drop(hdr.Seq, fmt.Errorf("%w: %d", errSuiteMismatch, hdr.Suite))
 	}
-	switch m := msg.(type) {
-	case *packet.Bundle:
+	switch hdr.Type {
+	case packet.TypeBundle:
 		if !allowBundle {
 			return e.drop(hdr.Seq, packet.ErrBadType)
 		}
+		// Each sub-packet decodes into its own frame's Packet, so the
+		// bundle's packet list survives the recursion.
 		var evs []Event
-		for _, raw := range m.Packets {
+		for _, raw := range p.Bundle.Packets {
 			evs = append(evs, e.handleRaw(now, raw, false)...)
 		}
 		return evs
-	case *packet.Handshake:
+	case packet.TypeHS1, packet.TypeHS2:
 		e.noteSpanStep(obs.StepHS, 0)
-		return e.handleHandshake(now, hdr, m)
-	case *packet.S1:
+		return e.handleHandshake(now, hdr, &p.Handshake)
+	case packet.TypeS1:
 		e.noteSpanStep(obs.StepS1, obs.RoleReceiver)
-		return e.handleDataPacket(now, hdr, func() []Event { return e.handleS1(now, hdr, m) })
-	case *packet.A1:
+	case packet.TypeA1:
 		e.noteSpanStep(obs.StepA1, obs.RoleSender)
-		return e.handleDataPacket(now, hdr, func() []Event { return e.handleA1(now, hdr, m) })
-	case *packet.S2:
+	case packet.TypeS2:
 		e.noteSpanStep(obs.StepS2, obs.RoleReceiver)
-		return e.handleDataPacket(now, hdr, func() []Event { return e.handleS2(now, hdr, m) })
-	case *packet.A2:
+	case packet.TypeA2:
 		e.noteSpanStep(obs.StepA2, obs.RoleSender)
-		return e.handleDataPacket(now, hdr, func() []Event { return e.handleA2(now, hdr, m) })
 	default:
 		return e.drop(hdr.Seq, packet.ErrBadType)
+	}
+	if err := e.checkDataPacket(hdr); err != nil {
+		return e.drop(hdr.Seq, err)
+	}
+	switch hdr.Type {
+	case packet.TypeS1:
+		return e.handleS1(now, hdr, &p.S1)
+	case packet.TypeA1:
+		return e.handleA1(now, hdr, &p.A1)
+	case packet.TypeS2:
+		return e.handleS2(now, hdr, &p.S2)
+	default:
+		return e.handleA2(now, hdr, &p.A2)
 	}
 }
 
@@ -372,20 +386,20 @@ func (e *Endpoint) noteSpanStep(step, role uint8) {
 	e.spanStep, e.spanRole, e.spanKey = step, role, 0
 }
 
-// handleDataPacket performs the checks common to S1/A1/S2/A2 before
-// dispatching.
-func (e *Endpoint) handleDataPacket(now time.Time, hdr packet.Header, dispatch func() []Event) []Event {
+// checkDataPacket performs the checks common to S1/A1/S2/A2 before
+// dispatching, returning the drop reason of a packet that fails them.
+func (e *Endpoint) checkDataPacket(hdr packet.Header) error {
 	if !e.established {
-		return e.drop(hdr.Seq, ErrNotEstablished)
+		return ErrNotEstablished
 	}
 	if hdr.Assoc != e.assoc {
-		return e.drop(hdr.Seq, ErrUnknownAssoc)
+		return ErrUnknownAssoc
 	}
 	// A packet must come from the opposite side of the association.
 	if (hdr.Flags&FlagInitiator != 0) == e.initiator {
-		return e.drop(hdr.Seq, ErrBadDirection)
+		return ErrBadDirection
 	}
-	return dispatch()
+	return nil
 }
 
 var errSuiteMismatch = errors.New("alpha: suite mismatch")

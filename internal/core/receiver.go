@@ -3,6 +3,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/rand"
 	"fmt"
 	"time"
@@ -32,10 +33,11 @@ type rxExchange struct {
 	// so duplicates verify by equality.
 	key []byte
 
-	// Pre-signatures buffered from the S1.
-	macs      [][]byte // modes base and C
-	root      []byte   // mode M
-	roots     [][]byte // mode CM
+	// Pre-signatures buffered from the S1, as the flat digest runs the
+	// S1 carried them in.
+	macs      []byte // modes base and C
+	root      []byte // mode M
+	roots     []byte // mode CM
 	leafCount int
 
 	// Reliable-mode acknowledgment material.
@@ -52,15 +54,7 @@ type rxExchange struct {
 // bufferedBytes reports how much pre-signature state the exchange pins,
 // reproducing the verifier column of Table 2 empirically.
 func (rx *rxExchange) bufferedBytes() int {
-	n := 0
-	for _, m := range rx.macs {
-		n += len(m)
-	}
-	n += len(rx.root)
-	for _, r := range rx.roots {
-		n += len(r)
-	}
-	return n
+	return len(rx.macs) + len(rx.root) + len(rx.roots)
 }
 
 // ackBytes reports the additional reliable-mode state (Table 3).
@@ -104,33 +98,43 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) []E
 		mode:     s1.Mode,
 		reliable: reliable,
 		keyIdx:   s1.KeyIdx,
-		auth:     append([]byte(nil), s1.Auth...),
 	}
+	// presig is the S1's pre-signature material and keep the exchange
+	// field it is buffered in.
 	var batch int
+	var presig []byte
+	var keep *[]byte
 	switch s1.Mode {
 	case packet.ModeBase, packet.ModeC:
-		rx.macs = s1.MACs
-		batch = len(s1.MACs)
+		presig, keep = s1.MACBlock, &rx.macs
+		batch = len(s1.MACBlock) / e.suite.Size()
 	case packet.ModeM:
-		rx.root = s1.Root
+		presig, keep = s1.Root, &rx.root
 		rx.leafCount = int(s1.LeafCount)
 		batch = rx.leafCount
 	case packet.ModeCM:
-		rx.roots = s1.Roots
+		presig, keep = s1.Roots, &rx.roots
 		rx.leafCount = int(s1.LeafCount)
 		batch = rx.leafCount
 		// The root count must be consistent with the subtree partition
 		// both sides derive from (n, k).
-		sub := CMSubSize(batch, len(s1.Roots))
-		if (batch+sub-1)/sub != len(s1.Roots) {
-			return e.drop(hdr.Seq, fmt.Errorf("inconsistent CM root count %d for %d messages", len(s1.Roots), batch))
+		k := len(s1.Roots) / e.suite.Size()
+		sub := CMSubSize(batch, k)
+		if (batch+sub-1)/sub != k {
+			return e.drop(hdr.Seq, fmt.Errorf("inconsistent CM root count %d for %d messages", k, batch))
 		}
 	default:
 		return e.drop(hdr.Seq, fmt.Errorf("unknown mode %v", s1.Mode))
 	}
+	// The decoded S1 aliases the datagram, which the transport recycles
+	// once Handle returns: the exchange's trust anchor and pre-signatures
+	// move into one block the exchange owns.
+	block := make([]byte, 0, len(s1.Auth)+len(presig))
+	rx.auth = packet.Retain(&block, s1.Auth)
+	*keep = packet.Retain(&block, presig)
 	rx.delivered = make([]bool, batch)
 
-	a1 := &packet.A1{}
+	var a1 packet.A1
 	pair, err := e.ackChain.NextPair()
 	if err != nil {
 		return e.drop(hdr.Seq, fmt.Errorf("%w: %v", ErrChainExhausted, err))
@@ -148,17 +152,17 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) []E
 	a1.KeyIdx = pair.KeyIdx
 	if reliable {
 		if batch == 1 {
-			// Flat pre-ack/pre-nack pair (§3.2.2, Fig. 3).
-			rx.sack = make([]byte, e.suite.Size())
-			rx.snack = make([]byte, e.suite.Size())
-			if _, err := rand.Read(rx.sack); err != nil {
+			// Flat pre-ack/pre-nack pair (§3.2.2, Fig. 3). Both secrets
+			// share one block, both digests another.
+			h := e.suite.Size()
+			secrets := make([]byte, 2*h)
+			if _, err := rand.Read(secrets); err != nil {
 				return e.drop(hdr.Seq, err)
 			}
-			if _, err := rand.Read(rx.snack); err != nil {
-				return e.drop(hdr.Seq, err)
-			}
-			a1.PreAck = PreAckDigest(e.suite, pair.Key, rx.sack)
-			a1.PreNack = PreNackDigest(e.suite, pair.Key, rx.snack)
+			rx.sack, rx.snack = secrets[:h:h], secrets[h:]
+			pre := AppendPreAckDigest(e.suite, make([]byte, 0, 2*h), pair.Key, rx.sack)
+			pre = AppendPreNackDigest(e.suite, pre, pair.Key, rx.snack)
+			a1.PreAck, a1.PreNack = pre[:h], pre[h:]
 		} else {
 			// Acknowledgment Merkle Tree (§3.3.3, Fig. 7).
 			amt, err := merkle.NewAckTree(e.suite, pair.Key, batch)
@@ -170,7 +174,7 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) []E
 			a1.AMTLeaves = uint32(batch)
 		}
 	}
-	raw, err := packet.Encode(e.header(packet.TypeA1, hdr.Seq), a1)
+	raw, err := packet.Encode(e.header(packet.TypeA1, hdr.Seq), &a1)
 	if err != nil {
 		return e.drop(hdr.Seq, err)
 	}
@@ -268,7 +272,9 @@ func (e *Endpoint) handleS2(now time.Time, hdr packet.Header, s2 *packet.S2) []E
 	e.tel.PayloadSize.Observe(int64(len(s2.Payload)))
 	e.tracer.Trace(e.tnow, telemetry.TraceS2Verified, e.assoc, hdr.Seq, s2.MsgIndex)
 	e.spans.Emit(e.tnow, e.assoc, obs.Key(rx.auth), hdr.Seq, obs.RoleReceiver, obs.StepS2, uint8(rx.mode), obs.VerdictDeliver, s2.MsgIndex)
-	e.emit(Event{Kind: EventDelivered, Seq: hdr.Seq, MsgIndex: s2.MsgIndex, Payload: s2.Payload})
+	// The one copy of the delivery path: the application keeps the
+	// payload, the transport recycles the datagram it arrived in.
+	e.emit(Event{Kind: EventDelivered, Seq: hdr.Seq, MsgIndex: s2.MsgIndex, Payload: bytes.Clone(s2.Payload)})
 	if rx.reliable {
 		e.sendA2(rx, idx, true)
 	}
@@ -282,7 +288,7 @@ func (e *Endpoint) handleS2(now time.Time, hdr packet.Header, s2 *packet.S2) []E
 func (e *Endpoint) verifyS2Payload(rx *rxExchange, hdr packet.Header, s2 *packet.S2) bool {
 	switch rx.mode {
 	case packet.ModeBase, packet.ModeC:
-		want := rx.macs[s2.MsgIndex]
+		want := packet.Digest(rx.macs, int(s2.MsgIndex), e.suite.Size())
 		e.macIn = AppendMACInput(e.macIn[:0], e.assoc, hdr.Seq, s2.MsgIndex, s2.Payload)
 		e.parts[0] = e.macIn
 		e.macOut = e.suite.MACInto(e.macOut[:0], s2.Key, e.parts[:1]...)
@@ -296,11 +302,13 @@ func (e *Endpoint) verifyS2Payload(rx *rxExchange, hdr packet.Header, s2 *packet
 		if int(s2.LeafCount) != rx.leafCount {
 			return false //alpha:drop-ok verdict helper: handleS2 counts the drop on false
 		}
-		root, leaf, leaves, ok := CMLocate(int(s2.MsgIndex), rx.leafCount, len(rx.roots))
-		if !ok || root >= len(rx.roots) {
+		h := e.suite.Size()
+		k := len(rx.roots) / h
+		root, leaf, leaves, ok := CMLocate(int(s2.MsgIndex), rx.leafCount, k)
+		if !ok || root >= k {
 			return false //alpha:drop-ok verdict helper: handleS2 counts the drop on false
 		}
-		return merkle.Verify(e.suite, s2.Key, rx.roots[root], MerkleLeafInput(s2.Payload), leaf, leaves, s2.Proof)
+		return merkle.Verify(e.suite, s2.Key, packet.Digest(rx.roots, root, h), MerkleLeafInput(s2.Payload), leaf, leaves, s2.Proof)
 	default:
 		return false
 	}
@@ -308,7 +316,7 @@ func (e *Endpoint) verifyS2Payload(rx *rxExchange, hdr packet.Header, s2 *packet
 
 // sendA2 opens the pre-ack (ack=true) or pre-nack for message idx.
 func (e *Endpoint) sendA2(rx *rxExchange, idx int, ack bool) {
-	a2 := &packet.A2{
+	a2 := packet.A2{
 		Mode:     rx.mode,
 		KeyIdx:   rx.ackPair.KeyIdx,
 		Key:      rx.ackPair.Key,
@@ -316,7 +324,8 @@ func (e *Endpoint) sendA2(rx *rxExchange, idx int, ack bool) {
 		Ack:      ack,
 	}
 	if rx.amt != nil {
-		o, err := rx.amt.Open(idx, ack)
+		var proofBuf [512]byte // a depth-16 SHA-256 proof; deeper ones spill to the heap
+		o, err := rx.amt.Open(proofBuf[:0], idx, ack)
 		if err != nil {
 			// An unopenable acknowledgment is an internal-state error, not
 			// hostile input, but it must not vanish silently: the peer will
@@ -342,7 +351,7 @@ func (e *Endpoint) sendA2(rx *rxExchange, idx int, ack bool) {
 		}
 		a2.Mode = packet.ModeBase
 	}
-	if err := e.send(e.header(packet.TypeA2, rx.seq), a2); err != nil {
+	if err := e.send(e.header(packet.TypeA2, rx.seq), &a2); err != nil {
 		// Encoding failure: the ack this exchange owes never left. Counted
 		// for the same reason as above.
 		e.noteAckFailure(rx, telemetry.ReasonMalformed)

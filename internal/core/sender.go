@@ -44,8 +44,13 @@ type txExchange struct {
 	pair  hashchain.Pair // our signature-chain elements for this exchange
 	trees []*merkle.Tree // modes M (one tree) and CM (k subtrees)
 
-	s1  []byte   // encoded S1 for retransmission
-	s2s [][]byte // encoded S2 packets, indexed by message
+	// wire holds the exchange's encoded S1 followed by its S2s, in one
+	// buffer sized at startExchange; s1 and s2s slice it. Both stay live
+	// for retransmission until the exchange retires, so the buffer is
+	// never recycled.
+	wire []byte
+	s1   []byte   // encoded S1 for retransmission
+	s2s  [][]byte // encoded S2 packets, indexed by message
 
 	// Acknowledgment material learned from the A1 (reliable mode).
 	// ackAuth is the A1's verified element; the A2's key must hash to it.
@@ -157,26 +162,25 @@ func (e *Endpoint) startExchange(now time.Time, batch []*outMsg) error {
 		pair:  pair,
 		acked: make([]bool, len(batch)),
 	}
-	s1 := &packet.S1{
+	s1 := packet.S1{
 		Mode:    x.mode,
 		AuthIdx: pair.AuthIdx,
 		Auth:    pair.Auth,
 		KeyIdx:  pair.KeyIdx,
 	}
+	// Pre-signatures are assembled in the endpoint's scratch (macOut as a
+	// flat digest run); encoding copies them into the exchange's buffer.
+	size := e.suite.Size()
+	count := len(batch)
 	switch x.mode {
 	case packet.ModeBase, packet.ModeC:
-		// One slab holds the batch's MACs; the MAC input is assembled in
-		// the endpoint's scratch buffer instead of per-message slices.
-		size := e.suite.Size()
-		s1.MACs = make([][]byte, len(batch))
-		slab := make([]byte, 0, len(batch)*size)
+		e.macOut = e.macOut[:0]
 		for i, m := range batch {
 			e.macIn = AppendMACInput(e.macIn[:0], e.assoc, seq, uint32(i), m.payload)
 			e.parts[0] = e.macIn
-			off := len(slab)
-			slab = e.suite.MACInto(slab, pair.Key, e.parts[:1]...)
-			s1.MACs[i] = slab[off : off+size : off+size]
+			e.macOut = e.suite.MACInto(e.macOut, pair.Key, e.parts[:1]...)
 		}
+		s1.MACBlock = e.macOut
 	case packet.ModeM:
 		msgs := make([][]byte, len(batch))
 		for i, m := range batch {
@@ -196,6 +200,7 @@ func (e *Endpoint) startExchange(now time.Time, batch []*outMsg) error {
 			k = n
 		}
 		sub := CMSubSize(n, k)
+		e.macOut = e.macOut[:0]
 		for off := 0; off < n; off += sub {
 			end := off + sub
 			if end > n {
@@ -210,19 +215,28 @@ func (e *Endpoint) startExchange(now time.Time, batch []*outMsg) error {
 				return err
 			}
 			x.trees = append(x.trees, tree)
-			s1.Roots = append(s1.Roots, tree.Root())
+			e.macOut = append(e.macOut, tree.Root()...)
 		}
+		s1.Roots = e.macOut
 		s1.LeafCount = uint32(n)
+		count = len(x.trees)
 	}
-	raw, err := packet.Encode(e.header(packet.TypeS1, seq), s1)
+	// Size the exchange's wire buffer for the S1 and every S2 up front, so
+	// neither encoding reallocates.
+	wireLen := packet.S1Size(x.mode, size, count)
+	for i, m := range batch {
+		wireLen += packet.S2Size(x.mode, size, x.proofDepth(i), len(m.payload))
+	}
+	raw, err := packet.Append(make([]byte, 0, wireLen), e.header(packet.TypeS1, seq), &s1)
 	if err != nil {
 		return err
 	}
-	x.s1 = raw
+	x.wire = raw
+	x.s1 = raw[:len(raw):len(raw)]
 	x.deadline = now.Add(e.cfg.RTO)
 	e.tx[seq] = x
 	e.txOrder = append(e.txOrder, seq)
-	e.outbox = append(e.outbox, raw)
+	e.outbox = append(e.outbox, x.s1)
 	e.tel.BytesSent.Add(uint64(len(raw)))
 	e.tel.SentS1.Inc()
 	e.tracer.Trace(e.tnow, telemetry.TraceS1Sent, e.assoc, seq, uint32(len(batch)))
@@ -255,14 +269,18 @@ func (e *Endpoint) handleA1(now time.Time, hdr packet.Header, a1 *packet.A1) []E
 	e.tracer.Trace(e.tnow, telemetry.TraceA1Recv, e.assoc, hdr.Seq, 0)
 	e.spans.Emit(e.tnow, e.assoc, obs.Key(x.pair.Auth), hdr.Seq, obs.RoleSender, obs.StepA1, uint8(x.mode), obs.VerdictRecv, 0)
 	if e.cfg.Reliable {
-		x.ackAuth = append([]byte(nil), a1.Auth...)
+		// The decoded A1 aliases the datagram: the element and the
+		// pre-(n)ack material the A2s will be checked against move into
+		// one block the exchange owns.
 		x.ackKeyIdx = a1.KeyIdx
+		block := make([]byte, 0, len(a1.Auth)+len(a1.PreAck)+len(a1.PreNack)+len(a1.AMTRoot))
+		x.ackAuth = packet.Retain(&block, a1.Auth)
 		switch {
 		case a1.PreAck != nil && a1.PreNack != nil && len(x.msgs) == 1:
-			x.preAck = a1.PreAck
-			x.preNack = a1.PreNack
+			x.preAck = packet.Retain(&block, a1.PreAck)
+			x.preNack = packet.Retain(&block, a1.PreNack)
 		case a1.AMTRoot != nil && int(a1.AMTLeaves) == len(x.msgs):
-			x.amtRoot = a1.AMTRoot
+			x.amtRoot = packet.Retain(&block, a1.AMTRoot)
 			x.amtLeaves = int(a1.AMTLeaves)
 		default:
 			return e.drop(hdr.Seq, fmt.Errorf("%w: missing pre-acknowledgment material", ErrBadAck))
@@ -274,41 +292,54 @@ func (e *Endpoint) handleA1(now time.Time, hdr packet.Header, a1 *packet.A1) []E
 	return e.takeEvents()
 }
 
-// sendS2s encodes and transmits every S2 packet of the exchange.
+// proofDepth returns the Merkle proof depth of message i's S2 (0 outside
+// modes M and CM).
+func (x *txExchange) proofDepth(i int) int {
+	switch x.mode {
+	case packet.ModeM:
+		return x.trees[0].ProofDepth()
+	case packet.ModeCM:
+		if root, _, _, ok := CMLocate(i, len(x.msgs), len(x.trees)); ok {
+			return x.trees[root].ProofDepth()
+		}
+	}
+	return 0
+}
+
+// sendS2s encodes every S2 packet of the exchange into the rest of its wire
+// buffer and transmits them.
 func (e *Endpoint) sendS2s(now time.Time, x *txExchange) error {
 	x.s2s = make([][]byte, len(x.msgs))
+	var proofBuf [512]byte // a depth-16 SHA-256 proof; deeper ones spill to the heap
 	for i, m := range x.msgs {
-		s2 := &packet.S2{
+		s2 := packet.S2{
 			Mode:     x.mode,
 			KeyIdx:   x.pair.KeyIdx,
 			Key:      x.pair.Key,
 			MsgIndex: uint32(i),
 			Payload:  m.payload,
 		}
+		var err error
 		switch x.mode {
 		case packet.ModeM:
-			proof, err := x.trees[0].Proof(i)
-			if err != nil {
-				return err
-			}
 			s2.LeafCount = uint32(x.trees[0].Leaves())
-			s2.Proof = proof
+			s2.Proof, err = x.trees[0].AppendProof(proofBuf[:0], i)
 		case packet.ModeCM:
 			root, leaf, _, ok := CMLocate(i, len(x.msgs), len(x.trees))
 			if !ok {
 				return fmt.Errorf("core: CM locate failed for message %d", i)
 			}
-			proof, err := x.trees[root].Proof(leaf)
-			if err != nil {
-				return err
-			}
 			s2.LeafCount = uint32(len(x.msgs))
-			s2.Proof = proof
+			s2.Proof, err = x.trees[root].AppendProof(proofBuf[:0], leaf)
 		}
-		raw, err := packet.Encode(e.header(packet.TypeS2, x.seq), s2)
 		if err != nil {
 			return err
 		}
+		start := len(x.wire)
+		if x.wire, err = packet.Append(x.wire, e.header(packet.TypeS2, x.seq), &s2); err != nil {
+			return err
+		}
+		raw := x.wire[start:len(x.wire):len(x.wire)]
 		x.s2s[i] = raw
 		e.outbox = append(e.outbox, raw)
 		e.tel.BytesSent.Add(uint64(len(raw)))
@@ -417,14 +448,14 @@ func (e *Endpoint) verifyAckOpening(x *txExchange, a2 *packet.A2) bool {
 		e.macOut = AppendPreNackDigest(e.suite, e.macOut[:0], a2.Key, a2.Secret)
 		return equalDigest(e.macOut, x.preNack)
 	case x.amtRoot != nil:
-		o := &merkle.Opening{
+		o := merkle.Opening{
 			Index:  a2.MsgIndex,
 			Ack:    a2.Ack,
 			Secret: a2.Secret,
 			Proof:  a2.Proof,
 			Other:  a2.Other,
 		}
-		return merkle.VerifyOpening(e.suite, a2.Key, x.amtRoot, x.amtLeaves, o)
+		return merkle.VerifyOpening(e.suite, a2.Key, x.amtRoot, x.amtLeaves, &o)
 	default:
 		return false
 	}

@@ -21,8 +21,8 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	proof, _ := tree.Proof(2)
-	fmt.Println("proof hashes:", len(proof))
+	proof, _ := tree.AppendProof(nil, 2)
+	fmt.Println("proof hashes:", len(proof)/s.Size())
 	fmt.Println("genuine verifies:", merkle.Verify(s, key, tree.Root(), msgs[2], 2, 4, proof))
 	fmt.Println("forged verifies: ", merkle.Verify(s, key, tree.Root(), []byte("forged"), 2, 4, proof))
 	// Output:
@@ -41,10 +41,10 @@ func ExampleAckTree() {
 		panic(err)
 	}
 	// Message 1 arrived intact: open its positive acknowledgment.
-	opening, _ := amt.Open(1, true)
-	fmt.Println("ack verifies:", merkle.VerifyOpening(s, key, amt.Root(), 4, opening))
+	opening, _ := amt.Open(nil, 1, true)
+	fmt.Println("ack verifies:", merkle.VerifyOpening(s, key, amt.Root(), 4, &opening))
 	// The same secret cannot be passed off as a nack.
-	flipped := *opening
+	flipped := opening
 	flipped.Ack = false
 	fmt.Println("flipped verifies:", merkle.VerifyOpening(s, key, amt.Root(), 4, &flipped))
 	// Output:

@@ -18,7 +18,6 @@ func FuzzMerkleVerify(f *testing.F) {
 	f.Add([]byte("batch"), uint8(13), uint8(12), uint16(130), []byte("\x00\x01"))
 	f.Fuzz(func(t *testing.T, data []byte, nRaw, jRaw uint8, flip uint16, junk []byte) {
 		s := suite.SHA1()
-		h := s.Size()
 		n := int(nRaw)%16 + 1
 		j := int(jRaw) % n
 		msgs := make([][]byte, n)
@@ -30,7 +29,7 @@ func FuzzMerkleVerify(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Build(n=%d): %v", n, err)
 		}
-		proof, err := tree.Proof(j)
+		proof, err := tree.AppendProof(nil, j)
 		if err != nil {
 			t.Fatalf("Proof(%d): %v", j, err)
 		}
@@ -43,12 +42,8 @@ func FuzzMerkleVerify(f *testing.F) {
 		// the proof, the root, or the message changes the recomputed
 		// root (else the hash would have a trivial second preimage).
 		if len(proof) > 0 {
-			mp := make([][]byte, len(proof))
-			for i := range proof {
-				mp[i] = append([]byte(nil), proof[i]...)
-			}
-			el := int(flip) % len(mp)
-			mp[el][int(flip)%h] ^= 1 << (flip % 8)
+			mp := append([]byte(nil), proof...)
+			mp[int(flip)%len(mp)] ^= 1 << (flip % 8)
 			if Verify(s, key, root, msgs[j], j, n, mp) {
 				t.Fatal("bit-flipped proof accepted")
 			}
@@ -67,10 +62,11 @@ func FuzzMerkleVerify(f *testing.F) {
 			t.Fatal("proof accepted at the wrong leaf index")
 		}
 
-		// Hostile-input safety: arbitrary proof shapes (wrong counts,
-		// wrong digest sizes, nils) must return false, never panic.
-		hostile := [][]byte{nil, junk, data}
+		// Hostile-input safety: arbitrary proof shapes (wrong lengths,
+		// partial digests, nil) must return false, never panic.
+		hostile := append(append([]byte(nil), junk...), data...)
 		Verify(s, key, root, msgs[j], j, n, hostile)
+		Verify(s, key, root, msgs[j], j, n, proof[:len(proof)/2])
 		Verify(s, key, root, msgs[j], j, n, nil)
 		Verify(s, key, root, msgs[j], -1, n, proof)
 		Verify(s, key, root, msgs[j], j, MaxLeaves+1, proof)
@@ -80,26 +76,26 @@ func FuzzMerkleVerify(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewAckTree(n=%d): %v", n, err)
 		}
-		o, err := at.Open(j, flip%2 == 0)
+		o, err := at.Open(nil, j, flip%2 == 0)
 		if err != nil {
 			t.Fatalf("Open(%d): %v", j, err)
 		}
-		if !VerifyOpening(s, key, at.Root(), n, o) {
+		if !VerifyOpening(s, key, at.Root(), n, &o) {
 			t.Fatalf("genuine opening rejected (n=%d j=%d)", n, j)
 		}
 		ms := append([]byte(nil), o.Secret...)
 		ms[int(flip)%len(ms)] ^= 1
-		mo := *o
+		mo := o
 		mo.Secret = ms
 		if VerifyOpening(s, key, at.Root(), n, &mo) {
 			t.Fatal("bit-flipped opening secret accepted")
 		}
-		no := *o
+		no := o
 		no.Ack = !no.Ack
 		if VerifyOpening(s, key, at.Root(), n, &no) {
 			t.Fatal("opening accepted with inverted ack polarity")
 		}
-		jo := *o
+		jo := o
 		jo.Proof = hostile
 		VerifyOpening(s, key, at.Root(), n, &jo)
 		VerifyOpening(s, key, at.Root(), n, nil)

@@ -39,7 +39,7 @@ var (
 )
 
 // MaxLeaves bounds tree size; 2^20 leaves is far beyond the paper's largest
-// evaluated configuration (1024, Table 6) and keeps proof allocation sane.
+// evaluated configuration (1024, Table 6) and keeps proofs short.
 const MaxLeaves = 1 << 20
 
 // ErrLeafRange is returned when a leaf index is outside the tree.
@@ -156,29 +156,31 @@ func (t *Tree) Leaves() int { return t.n }
 // ProofDepth returns the number of sibling digests in each proof.
 func (t *Tree) ProofDepth() int { return t.depth }
 
-// Proof returns the complementary branch set {Bc} for leaf j, ordered from
-// the leaf level upward. The returned slices alias tree storage and must not
-// be mutated.
-func (t *Tree) Proof(j int) ([][]byte, error) {
+// AppendProof appends the complementary branch set {Bc} for leaf j to dst,
+// ordered from the leaf level upward, as a flat run of ProofDepth digests
+// (the S2 wire layout). With a dst of sufficient capacity it does not
+// allocate.
+func (t *Tree) AppendProof(dst []byte, j int) ([]byte, error) {
 	if j < 0 || j >= t.n {
-		return nil, ErrLeafRange
+		return dst, ErrLeafRange
 	}
-	proof := make([][]byte, t.depth)
 	idx := j
 	for d := 0; d < t.depth; d++ {
-		proof[d] = t.levels[d][idx^1]
+		dst = append(dst, t.levels[d][idx^1]...)
 		idx >>= 1
 	}
-	return proof, nil
+	return dst, nil
 }
 
 // Verify checks a message against a keyed root: it recomputes the path from
 // m's leaf digest through the complementary branches to the root, unlocking
 // the root with the disclosed chain element key. n is the batch's real leaf
-// count (needed to derive the padded depth). Verification is allocation-free:
-// intermediate digests live in pooled scratch.
+// count (needed to derive the padded depth); proof is the flat branch set
+// AppendProof writes. Verification is allocation-free: intermediate digests
+// live in pooled scratch.
+//
 //alpha:hotpath
-func Verify(s suite.Suite, key, root []byte, m []byte, j, n int, proof [][]byte) bool {
+func Verify(s suite.Suite, key, root []byte, m []byte, j, n int, proof []byte) bool {
 	sc := suite.GetScratch()
 	sc.Parts[0], sc.Parts[1] = tagLeaf, m
 	sc.Buf = s.HashInto(sc.Buf, sc.Parts[:2]...)
@@ -190,12 +192,12 @@ func Verify(s suite.Suite, key, root []byte, m []byte, j, n int, proof [][]byte)
 // VerifyLeaf is Verify for a precomputed leaf digest.
 //
 //alpha:hotpath
-func VerifyLeaf(s suite.Suite, key, root []byte, leaf []byte, j, n int, proof [][]byte) bool {
+func VerifyLeaf(s suite.Suite, key, root []byte, leaf []byte, j, n int, proof []byte) bool {
 	if j < 0 || j >= n || n < 1 || n > MaxLeaves {
 		return false
 	}
-	depth := Depth(n)
-	if len(proof) != depth {
+	depth, size := Depth(n), s.Size()
+	if len(proof) != depth*size {
 		return false
 	}
 	sc := suite.GetScratch()
@@ -213,9 +215,9 @@ func VerifyLeaf(s suite.Suite, key, root []byte, leaf []byte, j, n int, proof []
 	for d := 0; d < depth-1; d++ {
 		sc.Parts[0] = tagNode
 		if idx&1 == 0 {
-			sc.Parts[1], sc.Parts[2] = cur, proof[d]
+			sc.Parts[1], sc.Parts[2] = cur, proof[d*size:(d+1)*size]
 		} else {
-			sc.Parts[1], sc.Parts[2] = proof[d], cur
+			sc.Parts[1], sc.Parts[2] = proof[d*size:(d+1)*size], cur
 		}
 		sc.Buf = s.HashInto(sc.Buf[:0], sc.Parts[:3]...)
 		cur = sc.Buf
@@ -223,9 +225,9 @@ func VerifyLeaf(s suite.Suite, key, root []byte, leaf []byte, j, n int, proof []
 	}
 	sc.Parts[0], sc.Parts[1] = tagRoot, key
 	if idx&1 == 0 {
-		sc.Parts[2], sc.Parts[3] = cur, proof[depth-1]
+		sc.Parts[2], sc.Parts[3] = cur, proof[(depth-1)*size:]
 	} else {
-		sc.Parts[2], sc.Parts[3] = proof[depth-1], cur
+		sc.Parts[2], sc.Parts[3] = proof[(depth-1)*size:], cur
 	}
 	sc.Buf = s.HashInto(sc.Buf[:0], sc.Parts[:4]...)
 	return suite.Equal(root, sc.Buf)
@@ -332,27 +334,29 @@ func (t *AckTree) Messages() int { return t.n }
 // Opening is a disclosed AMT leaf: everything a signer or relay needs to
 // verify one (n)ack against a buffered AMT root.
 type Opening struct {
-	Index  uint32   // packet index x_i
-	Ack    bool     // true: positive acknowledgment, false: negative
-	Secret []byte   // the leaf secret s_i
-	Proof  [][]byte // complementary branches inside the ack or nack subtree
-	Other  []byte   // root of the opposite subtree
+	Index  uint32 // packet index x_i
+	Ack    bool   // true: positive acknowledgment, false: negative
+	Secret []byte // the leaf secret s_i
+	Proof  []byte // complementary branches inside the ack or nack subtree (flat)
+	Other  []byte // root of the opposite subtree
 }
 
-// Open discloses the (n)ack leaf for message index j.
-func (t *AckTree) Open(j int, ack bool) (*Opening, error) {
+// Open discloses the (n)ack leaf for message index j. The opening's proof
+// is appended to proof (pass a buffer with room for Depth(n) digests and
+// Open does not allocate); Secret and Other alias tree storage.
+func (t *AckTree) Open(proof []byte, j int, ack bool) (Opening, error) {
 	if j < 0 || j >= t.n {
-		return nil, ErrLeafRange
+		return Opening{}, ErrLeafRange
 	}
 	sub, other, off := t.acks, t.nacks, 0
 	if !ack {
 		sub, other, off = t.nacks, t.acks, t.n
 	}
-	proof, err := sub.Proof(j)
+	proof, err := sub.AppendProof(proof, j)
 	if err != nil {
-		return nil, err
+		return Opening{}, err
 	}
-	return &Opening{
+	return Opening{
 		Index:  uint32(j),
 		Ack:    ack,
 		Secret: t.secrets[off+j],
@@ -396,9 +400,9 @@ func VerifyOpening(s suite.Suite, key, root []byte, n int, o *Opening) bool {
 // returning nil on malformed input. Unkeyed trees still finish with the
 // keyed-root step (key = nil), mirroring New with a nil key. The result
 // lives in sc.Buf; leaf may already point there.
-func subtreeRoot(s suite.Suite, sc *suite.Scratch, leaf []byte, j, n int, proof [][]byte) []byte {
-	depth := Depth(n)
-	if j < 0 || j >= n || len(proof) != depth {
+func subtreeRoot(s suite.Suite, sc *suite.Scratch, leaf []byte, j, n int, proof []byte) []byte {
+	depth, size := Depth(n), s.Size()
+	if j < 0 || j >= n || len(proof) != depth*size {
 		return nil
 	}
 	if depth == 0 {
@@ -411,9 +415,9 @@ func subtreeRoot(s suite.Suite, sc *suite.Scratch, leaf []byte, j, n int, proof 
 	for d := 0; d < depth-1; d++ {
 		sc.Parts[0] = tagNode
 		if idx&1 == 0 {
-			sc.Parts[1], sc.Parts[2] = cur, proof[d]
+			sc.Parts[1], sc.Parts[2] = cur, proof[d*size:(d+1)*size]
 		} else {
-			sc.Parts[1], sc.Parts[2] = proof[d], cur
+			sc.Parts[1], sc.Parts[2] = proof[d*size:(d+1)*size], cur
 		}
 		sc.Buf = s.HashInto(sc.Buf[:0], sc.Parts[:3]...)
 		cur = sc.Buf
@@ -421,9 +425,9 @@ func subtreeRoot(s suite.Suite, sc *suite.Scratch, leaf []byte, j, n int, proof 
 	}
 	sc.Parts[0], sc.Parts[1] = tagRoot, nil
 	if idx&1 == 0 {
-		sc.Parts[2], sc.Parts[3] = cur, proof[depth-1]
+		sc.Parts[2], sc.Parts[3] = cur, proof[(depth-1)*size:]
 	} else {
-		sc.Parts[2], sc.Parts[3] = proof[depth-1], cur
+		sc.Parts[2], sc.Parts[3] = proof[(depth-1)*size:], cur
 	}
 	sc.Buf = s.HashInto(sc.Buf[:0], sc.Parts[:4]...)
 	return sc.Buf

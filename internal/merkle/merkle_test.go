@@ -44,12 +44,12 @@ func TestBuildAndVerifyAllLeaves(t *testing.T) {
 				t.Fatalf("ProofDepth %d, want %d", tree.ProofDepth(), Depth(n))
 			}
 			for j := 0; j < n; j++ {
-				proof, err := tree.Proof(j)
+				proof, err := tree.AppendProof(nil, j)
 				if err != nil {
 					t.Fatalf("Proof(%d): %v", j, err)
 				}
-				if len(proof) != Depth(n) {
-					t.Fatalf("proof length %d, want %d", len(proof), Depth(n))
+				if len(proof) != Depth(n)*s.Size() {
+					t.Fatalf("proof length %d, want %d digests", len(proof), Depth(n))
 				}
 				if !Verify(s, key, tree.Root(), msgs[j], j, n, proof) {
 					t.Fatalf("genuine leaf %d rejected", j)
@@ -68,7 +68,7 @@ func TestVerifyRejectsMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, _ := tree.Proof(3)
+	proof, _ := tree.AppendProof(nil, 3)
 	root := tree.Root()
 
 	if Verify(s, key, root, []byte("forged message"), 3, n, proof) {
@@ -86,13 +86,12 @@ func TestVerifyRejectsMutations(t *testing.T) {
 	if Verify(s, key, badRoot, msgs[3], 3, n, proof) {
 		t.Fatalf("wrong root accepted")
 	}
-	badProof := make([][]byte, len(proof))
-	copy(badProof, proof)
-	badProof[1] = s.Hash([]byte("junk"))
+	badProof := append([]byte(nil), proof...)
+	copy(badProof[s.Size():], s.Hash([]byte("junk")))
 	if Verify(s, key, root, msgs[3], 3, n, badProof) {
 		t.Fatalf("corrupted proof accepted")
 	}
-	if Verify(s, key, root, msgs[3], 3, n, proof[:len(proof)-1]) {
+	if Verify(s, key, root, msgs[3], 3, n, proof[:len(proof)-s.Size()]) {
 		t.Fatalf("truncated proof accepted")
 	}
 	if Verify(s, key, root, msgs[3], 3, n+1, proof) {
@@ -106,7 +105,7 @@ func TestCrossLeafProofRejected(t *testing.T) {
 	key := s.Hash([]byte("k"))
 	msgs := msgsFor(8)
 	tree, _ := Build(s, key, msgs)
-	p2, _ := tree.Proof(2)
+	p2, _ := tree.AppendProof(nil, 2)
 	if Verify(s, key, tree.Root(), msgs[5], 2, 8, p2) {
 		t.Fatalf("message 5 verified with leaf 2's slot")
 	}
@@ -127,10 +126,10 @@ func TestTreeInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tree.Proof(4); !errors.Is(err, ErrLeafRange) {
+	if _, err := tree.AppendProof(nil, 4); !errors.Is(err, ErrLeafRange) {
 		t.Fatalf("out-of-range proof: %v", err)
 	}
-	if _, err := tree.Proof(-1); !errors.Is(err, ErrLeafRange) {
+	if _, err := tree.AppendProof(nil, -1); !errors.Is(err, ErrLeafRange) {
 		t.Fatalf("negative proof index: %v", err)
 	}
 }
@@ -182,7 +181,7 @@ func TestQuickProofRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		proof, err := tree.Proof(j)
+		proof, err := tree.AppendProof(nil, j)
 		if err != nil {
 			return false
 		}
@@ -212,11 +211,11 @@ func TestAckTreeOpenVerify(t *testing.T) {
 			}
 			for j := 0; j < n; j++ {
 				for _, ack := range []bool{true, false} {
-					o, err := amt.Open(j, ack)
+					o, err := amt.Open(nil, j, ack)
 					if err != nil {
 						t.Fatalf("Open(%d,%v): %v", j, ack, err)
 					}
-					if !VerifyOpening(s, key, amt.Root(), n, o) {
+					if !VerifyOpening(s, key, amt.Root(), n, &o) {
 						t.Fatalf("genuine opening (%d,%v) rejected", j, ack)
 					}
 				}
@@ -235,15 +234,15 @@ func TestAckTreeAckNackDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, _ := amt.Open(2, true)
-	flipped := *o
+	o, _ := amt.Open(nil, 2, true)
+	flipped := o
 	flipped.Ack = false
 	if VerifyOpening(s, key, amt.Root(), 4, &flipped) {
 		t.Fatalf("ack opening verified as nack")
 	}
 	// Using the ack secret in the nack slot must fail too.
-	on, _ := amt.Open(2, false)
-	cross := *on
+	on, _ := amt.Open(nil, 2, false)
+	cross := on
 	cross.Secret = o.Secret
 	if VerifyOpening(s, key, amt.Root(), 4, &cross) {
 		t.Fatalf("cross-secret opening verified")
@@ -254,26 +253,26 @@ func TestAckTreeRejectsForgery(t *testing.T) {
 	s := suite.SHA1()
 	key := s.Hash([]byte("k"))
 	amt, _ := NewAckTree(s, key, 8)
-	o, _ := amt.Open(3, true)
+	o, _ := amt.Open(nil, 3, true)
 
-	bad := *o
+	bad := o
 	bad.Secret = s.Hash([]byte("guessed secret"))
 	if VerifyOpening(s, key, amt.Root(), 8, &bad) {
 		t.Fatalf("guessed secret accepted")
 	}
-	wrongIdx := *o
+	wrongIdx := o
 	wrongIdx.Index = 4
 	if VerifyOpening(s, key, amt.Root(), 8, &wrongIdx) {
 		t.Fatalf("shifted index accepted")
 	}
 	wrongKey := s.Hash([]byte("other chain element"))
-	if VerifyOpening(s, wrongKey, amt.Root(), 8, o) {
+	if VerifyOpening(s, wrongKey, amt.Root(), 8, &o) {
 		t.Fatalf("wrong chain element accepted — AMT root not keyed")
 	}
 	if VerifyOpening(s, key, amt.Root(), 8, nil) {
 		t.Fatalf("nil opening accepted")
 	}
-	if VerifyOpening(s, key, amt.Root(), 2, o) {
+	if VerifyOpening(s, key, amt.Root(), 2, &o) {
 		t.Fatalf("out-of-range index accepted")
 	}
 }
@@ -284,7 +283,7 @@ func TestAckTreeDistinctSecrets(t *testing.T) {
 	seen := map[string]bool{}
 	for j := 0; j < 16; j++ {
 		for _, ack := range []bool{true, false} {
-			o, _ := amt.Open(j, ack)
+			o, _ := amt.Open(nil, j, ack)
 			if seen[string(o.Secret)] {
 				t.Fatalf("duplicate AMT secret at (%d,%v)", j, ack)
 			}
@@ -299,7 +298,7 @@ func TestAckTreeInputValidation(t *testing.T) {
 		t.Fatalf("n=0 accepted")
 	}
 	amt, _ := NewAckTree(s, s.Hash([]byte("k")), 4)
-	if _, err := amt.Open(4, true); !errors.Is(err, ErrLeafRange) {
+	if _, err := amt.Open(nil, 4, true); !errors.Is(err, ErrLeafRange) {
 		t.Fatalf("out-of-range open: %v", err)
 	}
 }
@@ -314,14 +313,14 @@ func TestQuickAMTRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		o, err := amt.Open(j, ack)
+		o, err := amt.Open(nil, j, ack)
 		if err != nil {
 			return false
 		}
-		if !VerifyOpening(s, key, amt.Root(), n, o) {
+		if !VerifyOpening(s, key, amt.Root(), n, &o) {
 			return false
 		}
-		mut := *o
+		mut := o
 		mut.Ack = !mut.Ack
 		return !VerifyOpening(s, key, amt.Root(), n, &mut)
 	}
@@ -351,12 +350,46 @@ func BenchmarkVerify1024(b *testing.B) {
 	key := s.Hash([]byte("k"))
 	msgs := msgsFor(1024)
 	tree, _ := Build(s, key, msgs)
-	proof, _ := tree.Proof(512)
+	proof, _ := tree.AppendProof(nil, 512)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !Verify(s, key, tree.Root(), msgs[512], 512, 1024, proof) {
 			b.Fatal("verify failed")
 		}
+	}
+}
+
+// TestProofAndVerifyAllocationFree pins the per-packet Merkle work to zero
+// heap allocations: writing a proof into a sized buffer, verifying it, and
+// opening/verifying an AMT leaf.
+func TestProofAndVerifyAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop the pooled hash scratch")
+	}
+	s := suite.SHA1()
+	key := s.Hash([]byte("k"))
+	msgs := msgsFor(16)
+	tree, err := Build(s, key, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	amt, err := NewAckTree(s, key, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, Depth(16)*s.Size())
+	allocs := testing.AllocsPerRun(100, func() {
+		proof, _ := tree.AppendProof(buf[:0], 5)
+		if !Verify(s, key, tree.Root(), msgs[5], 5, 16, proof) {
+			t.Fatal("genuine proof rejected")
+		}
+		o, _ := amt.Open(buf[:0], 9, false)
+		if !VerifyOpening(s, key, amt.Root(), 16, &o) {
+			t.Fatal("genuine opening rejected")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("proof/open/verify allocated %.1f times per run, want 0", allocs)
 	}
 }

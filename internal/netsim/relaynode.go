@@ -3,6 +3,7 @@
 package netsim
 
 import (
+	"bytes"
 	"time"
 
 	"alpha/internal/relay"
@@ -36,7 +37,10 @@ func (rn *RelayNode) Receive(net *Network, now time.Time, pkt Packet) {
 	if d.Verdict != relay.Forward {
 		return
 	}
-	rn.Extracted = append(rn.Extracted, d.Extractions()...)
+	// Extractions alias the datagram; the node keeps copies.
+	for _, x := range d.Extractions() {
+		rn.Extracted = append(rn.Extracted, bytes.Clone(x))
+	}
 	if d.Rewritten != nil {
 		pkt.Data = d.Rewritten
 	}

@@ -3,6 +3,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -20,6 +21,9 @@ const (
 	// MaxKeyBlob bounds handshake public keys and signatures.
 	MaxKeyBlob = 8 << 10
 )
+
+// errKeyBlob rejects handshake key material over MaxKeyBlob.
+var errKeyBlob = errors.New("handshake key material too large")
 
 // Handshake is the body of HS1 and HS2: it carries the sender's hash chain
 // anchors (§3.4). In a protected handshake the anchors are additionally
@@ -60,76 +64,79 @@ func (hs *Handshake) Type() Type {
 	return TypeHS2
 }
 
-func (hs *Handshake) encodeBody(w *writer, h int) error {
-	if err := w.digest(hs.SigAnchor, h); err != nil {
-		return fmt.Errorf("sig anchor: %w", err)
+func (hs *Handshake) appendBody(b []byte, h int) ([]byte, error) {
+	var err error
+	if b, err = appendDigest(b, hs.SigAnchor, h); err != nil {
+		return b, fmt.Errorf("sig anchor: %w", err)
 	}
-	if err := w.digest(hs.AckAnchor, h); err != nil {
-		return fmt.Errorf("ack anchor: %w", err)
+	if b, err = appendDigest(b, hs.AckAnchor, h); err != nil {
+		return b, fmt.Errorf("ack anchor: %w", err)
 	}
-	w.u32(hs.ChainLen)
-	if err := w.digest(hs.Nonce, h); err != nil {
-		return fmt.Errorf("nonce: %w", err)
+	b = binary.BigEndian.AppendUint32(b, hs.ChainLen)
+	if b, err = appendDigest(b, hs.Nonce, h); err != nil {
+		return b, fmt.Errorf("nonce: %w", err)
 	}
-	w.u8(hs.Scheme)
+	b = append(b, hs.Scheme)
 	if len(hs.PubKey) > MaxKeyBlob || len(hs.Sig) > MaxKeyBlob {
-		return errors.New("handshake key material too large")
+		return b, errKeyBlob
 	}
-	if err := w.bytes16(hs.PubKey); err != nil {
-		return err
+	if b, err = append16(b, hs.PubKey); err != nil {
+		return b, err
 	}
-	if err := w.bytes16(hs.Sig); err != nil {
-		return err
+	if b, err = append16(b, hs.Sig); err != nil {
+		return b, err
 	}
 	if hs.HasToken {
 		if len(hs.Token) > MaxKeyBlob {
-			return errors.New("handshake token too large")
+			return b, errors.New("handshake token too large")
 		}
-		return w.bytes16(hs.Token)
+		return append16(b, hs.Token)
 	}
 	if len(hs.Token) != 0 {
-		return errors.New("handshake token present without FlagToken")
+		return b, errors.New("handshake token present without FlagToken")
 	}
-	return nil
+	return b, nil
 }
 
-func (hs *Handshake) decodeBody(r *reader, h int) error {
+func (hs *Handshake) decode(r *reader, h int) error {
 	var err error
-	if hs.SigAnchor, err = r.digest(h); err != nil {
+	if hs.SigAnchor, err = r.take(h); err != nil {
 		return err
 	}
-	if hs.AckAnchor, err = r.digest(h); err != nil {
+	if hs.AckAnchor, err = r.take(h); err != nil {
 		return err
 	}
 	if hs.ChainLen, err = r.u32(); err != nil {
 		return err
 	}
-	if hs.Nonce, err = r.digest(h); err != nil {
+	if hs.Nonce, err = r.take(h); err != nil {
 		return err
 	}
 	if hs.Scheme, err = r.u8(); err != nil {
 		return err
 	}
-	if hs.PubKey, err = r.bytes16(); err != nil {
+	if hs.PubKey, err = r.field16(); err != nil {
 		return err
 	}
-	if hs.Sig, err = r.bytes16(); err != nil {
+	if hs.Sig, err = r.field16(); err != nil {
 		return err
 	}
 	if hs.HasToken {
-		if hs.Token, err = r.bytes16(); err != nil {
+		if hs.Token, err = r.field16(); err != nil {
 			return err
 		}
 	}
 	if len(hs.PubKey) > MaxKeyBlob || len(hs.Sig) > MaxKeyBlob || len(hs.Token) > MaxKeyBlob {
-		return errors.New("handshake key material too large")
+		return errKeyBlob
 	}
 	return nil
 }
 
 // S1 announces one exchange's pre-signatures. The auth element identifies
-// the signer; the MACs (base/C) or Merkle root (M) are keyed with the next,
-// still-undisclosed element at KeyIdx.
+// the signer; the MACs (base/C) or Merkle root(s) (M/CM) are keyed with the
+// next, still-undisclosed element at KeyIdx. Repeated digests travel as
+// flat runs of h-byte digests (h the suite's digest size), exactly as on
+// the wire; Digest slices one out.
 type S1 struct {
 	Mode Mode
 	// AuthIdx/Auth are the signer's freshly disclosed signature-chain
@@ -139,70 +146,98 @@ type S1 struct {
 	// KeyIdx is the disclosure index of the undisclosed MAC-key element
 	// (AuthIdx+1); it is carried explicitly so verifiers need not infer.
 	KeyIdx uint32
-	// MACs holds one pre-signature per message (modes base and C; base
-	// always has exactly one).
+	// MACBlock holds one pre-signature per message back to back (modes
+	// base and C; base always has exactly one): MAC i is
+	// Digest(MACBlock, i, h).
+	MACBlock []byte
+	// MACs is an encode-only alternative to MACBlock for callers that
+	// hold the pre-signatures as separate slices. Decode never sets it;
+	// Encode rejects an S1 that sets both.
 	MACs [][]byte
 	// LeafCount and Root describe the Merkle tree of mode M. In mode CM,
 	// LeafCount is the total message count and Roots holds the k subtree
-	// roots, each covering ⌈LeafCount/k⌉ consecutive messages.
+	// roots back to back, each covering ⌈LeafCount/k⌉ consecutive
+	// messages.
 	LeafCount uint32
 	Root      []byte
-	Roots     [][]byte
+	Roots     []byte
 }
 
 // Type implements Message.
 func (*S1) Type() Type { return TypeS1 }
 
-func (p *S1) encodeBody(w *writer, h int) error {
-	w.u8(uint8(p.Mode))
-	w.u32(p.AuthIdx)
-	if err := w.digest(p.Auth, h); err != nil {
-		return fmt.Errorf("auth element: %w", err)
+// appendMACs appends the S1's pre-signatures from whichever of MACBlock
+// and MACs is set, returning their count.
+func (p *S1) appendMACs(b []byte, h int) ([]byte, int, error) {
+	if len(p.MACs) == 0 {
+		var err error
+		b, err = appendDigests(b, p.MACBlock, h)
+		return b, len(p.MACBlock) / h, err
 	}
-	w.u32(p.KeyIdx)
-	switch p.Mode {
-	case ModeBase, ModeC:
-		if len(p.MACs) == 0 || len(p.MACs) > MaxMACs {
-			return fmt.Errorf("S1 carries %d MACs, want 1..%d", len(p.MACs), MaxMACs)
-		}
-		if p.Mode == ModeBase && len(p.MACs) != 1 {
-			return fmt.Errorf("base-mode S1 carries %d MACs, want exactly 1", len(p.MACs))
-		}
-		w.u16(uint16(len(p.MACs)))
-		for i, m := range p.MACs {
-			if err := w.digest(m, h); err != nil {
-				return fmt.Errorf("MAC %d: %w", i, err)
-			}
-		}
-	case ModeM:
-		if p.LeafCount == 0 || p.LeafCount > MaxLeafCount {
-			return fmt.Errorf("S1 leaf count %d out of range", p.LeafCount)
-		}
-		w.u32(p.LeafCount)
-		if err := w.digest(p.Root, h); err != nil {
-			return fmt.Errorf("root: %w", err)
-		}
-	case ModeCM:
-		if p.LeafCount == 0 || p.LeafCount > MaxLeafCount {
-			return fmt.Errorf("S1 leaf count %d out of range", p.LeafCount)
-		}
-		if len(p.Roots) == 0 || len(p.Roots) > MaxMACs || uint32(len(p.Roots)) > p.LeafCount {
-			return fmt.Errorf("S1 carries %d roots for %d messages", len(p.Roots), p.LeafCount)
-		}
-		w.u32(p.LeafCount)
-		w.u16(uint16(len(p.Roots)))
-		for i, rt := range p.Roots {
-			if err := w.digest(rt, h); err != nil {
-				return fmt.Errorf("root %d: %w", i, err)
-			}
-		}
-	default:
-		return fmt.Errorf("unknown mode %v", p.Mode)
+	if len(p.MACBlock) != 0 {
+		return b, 0, errors.New("S1 sets both MACBlock and MACs")
 	}
-	return nil
+	for i, m := range p.MACs {
+		var err error
+		if b, err = appendDigest(b, m, h); err != nil {
+			return b, 0, fmt.Errorf("MAC %d: %w", i, err)
+		}
+	}
+	return b, len(p.MACs), nil
 }
 
-func (p *S1) decodeBody(r *reader, h int) error {
+func (p *S1) appendBody(b []byte, h int) ([]byte, error) {
+	b = append(b, uint8(p.Mode))
+	b = binary.BigEndian.AppendUint32(b, p.AuthIdx)
+	var err error
+	if b, err = appendDigest(b, p.Auth, h); err != nil {
+		return b, fmt.Errorf("auth element: %w", err)
+	}
+	b = binary.BigEndian.AppendUint32(b, p.KeyIdx)
+	switch p.Mode {
+	case ModeBase, ModeC:
+		// The count precedes the MACs; patch it in once they are known.
+		at := len(b)
+		b = append(b, 0, 0)
+		var count int
+		if b, count, err = p.appendMACs(b, h); err != nil {
+			return b, err
+		}
+		if count == 0 || count > MaxMACs {
+			return b, fmt.Errorf("S1 carries %d MACs, want 1..%d", count, MaxMACs)
+		}
+		if p.Mode == ModeBase && count != 1 {
+			return b, fmt.Errorf("base-mode S1 carries %d MACs, want exactly 1", count)
+		}
+		binary.BigEndian.PutUint16(b[at:], uint16(count))
+	case ModeM:
+		if p.LeafCount == 0 || p.LeafCount > MaxLeafCount {
+			return b, fmt.Errorf("S1 leaf count %d out of range", p.LeafCount)
+		}
+		b = binary.BigEndian.AppendUint32(b, p.LeafCount)
+		if b, err = appendDigest(b, p.Root, h); err != nil {
+			return b, fmt.Errorf("root: %w", err)
+		}
+	case ModeCM:
+		count := len(p.Roots) / h
+		if p.LeafCount == 0 || p.LeafCount > MaxLeafCount {
+			return b, fmt.Errorf("S1 leaf count %d out of range", p.LeafCount)
+		}
+		if count == 0 || count > MaxMACs || uint32(count) > p.LeafCount {
+			return b, fmt.Errorf("S1 carries %d roots for %d messages", count, p.LeafCount)
+		}
+		b = binary.BigEndian.AppendUint32(b, p.LeafCount)
+		b = binary.BigEndian.AppendUint16(b, uint16(count))
+		if b, err = appendDigests(b, p.Roots, h); err != nil {
+			return b, fmt.Errorf("roots: %w", err)
+		}
+	default:
+		return b, fmt.Errorf("unknown mode %v", p.Mode)
+	}
+	return b, nil
+}
+
+func (p *S1) decode(r *reader, h int) error {
 	m, err := r.u8()
 	if err != nil {
 		return err
@@ -211,7 +246,7 @@ func (p *S1) decodeBody(r *reader, h int) error {
 	if p.AuthIdx, err = r.u32(); err != nil {
 		return err
 	}
-	if p.Auth, err = r.digest(h); err != nil {
+	if p.Auth, err = r.take(h); err != nil {
 		return err
 	}
 	if p.KeyIdx, err = r.u32(); err != nil {
@@ -224,12 +259,12 @@ func (p *S1) decodeBody(r *reader, h int) error {
 			return err
 		}
 		if count == 0 || int(count) > MaxMACs {
-			return fmt.Errorf("S1 MAC count %d out of range", count)
+			return fmt.Errorf("S1 MAC count %d out of range", count) //alpha:alloc-ok malformed input only
 		}
 		if p.Mode == ModeBase && count != 1 {
-			return fmt.Errorf("base-mode S1 MAC count %d, want 1", count)
+			return fmt.Errorf("base-mode S1 MAC count %d, want 1", count) //alpha:alloc-ok malformed input only
 		}
-		if p.MACs, err = r.digests(int(count), h); err != nil {
+		if p.MACBlock, err = r.take(int(count) * h); err != nil {
 			return err
 		}
 	case ModeM:
@@ -237,9 +272,9 @@ func (p *S1) decodeBody(r *reader, h int) error {
 			return err
 		}
 		if p.LeafCount == 0 || p.LeafCount > MaxLeafCount {
-			return fmt.Errorf("S1 leaf count %d out of range", p.LeafCount)
+			return fmt.Errorf("S1 leaf count %d out of range", p.LeafCount) //alpha:alloc-ok malformed input only
 		}
-		if p.Root, err = r.digest(h); err != nil {
+		if p.Root, err = r.take(h); err != nil {
 			return err
 		}
 	case ModeCM:
@@ -247,20 +282,20 @@ func (p *S1) decodeBody(r *reader, h int) error {
 			return err
 		}
 		if p.LeafCount == 0 || p.LeafCount > MaxLeafCount {
-			return fmt.Errorf("S1 leaf count %d out of range", p.LeafCount)
+			return fmt.Errorf("S1 leaf count %d out of range", p.LeafCount) //alpha:alloc-ok malformed input only
 		}
 		count, err := r.u16()
 		if err != nil {
 			return err
 		}
 		if count == 0 || int(count) > MaxMACs || uint32(count) > p.LeafCount {
-			return fmt.Errorf("S1 root count %d out of range", count)
+			return fmt.Errorf("S1 root count %d out of range", count) //alpha:alloc-ok malformed input only
 		}
-		if p.Roots, err = r.digests(int(count), h); err != nil {
+		if p.Roots, err = r.take(int(count) * h); err != nil {
 			return err
 		}
 	default:
-		return fmt.Errorf("unknown mode %d", m)
+		return fmt.Errorf("unknown mode %d", m) //alpha:alloc-ok malformed input only
 	}
 	return nil
 }
@@ -295,7 +330,7 @@ const (
 	a1HasAMT     uint8 = 1 << 1
 )
 
-func (p *A1) encodeBody(w *writer, h int) error {
+func (p *A1) appendBody(b []byte, h int) ([]byte, error) {
 	var flags uint8
 	if p.PreAck != nil || p.PreNack != nil {
 		flags |= a1HasPrePair
@@ -304,68 +339,69 @@ func (p *A1) encodeBody(w *writer, h int) error {
 		flags |= a1HasAMT
 	}
 	if flags == a1HasPrePair|a1HasAMT {
-		return errors.New("A1 cannot carry both a pre-(n)ack pair and an AMT root")
+		return b, errors.New("A1 cannot carry both a pre-(n)ack pair and an AMT root")
 	}
-	w.u8(flags)
-	w.u32(p.AuthIdx)
-	if err := w.digest(p.Auth, h); err != nil {
-		return fmt.Errorf("auth element: %w", err)
+	b = append(b, flags)
+	b = binary.BigEndian.AppendUint32(b, p.AuthIdx)
+	var err error
+	if b, err = appendDigest(b, p.Auth, h); err != nil {
+		return b, fmt.Errorf("auth element: %w", err)
 	}
-	w.u32(p.KeyIdx)
+	b = binary.BigEndian.AppendUint32(b, p.KeyIdx)
 	if flags&a1HasPrePair != 0 {
-		if err := w.digest(p.PreAck, h); err != nil {
-			return fmt.Errorf("pre-ack: %w", err)
+		if b, err = appendDigest(b, p.PreAck, h); err != nil {
+			return b, fmt.Errorf("pre-ack: %w", err)
 		}
-		if err := w.digest(p.PreNack, h); err != nil {
-			return fmt.Errorf("pre-nack: %w", err)
+		if b, err = appendDigest(b, p.PreNack, h); err != nil {
+			return b, fmt.Errorf("pre-nack: %w", err)
 		}
 	}
 	if flags&a1HasAMT != 0 {
 		if p.AMTLeaves == 0 || p.AMTLeaves > MaxLeafCount {
-			return fmt.Errorf("A1 AMT leaf count %d out of range", p.AMTLeaves)
+			return b, fmt.Errorf("A1 AMT leaf count %d out of range", p.AMTLeaves)
 		}
-		if err := w.digest(p.AMTRoot, h); err != nil {
-			return fmt.Errorf("AMT root: %w", err)
+		if b, err = appendDigest(b, p.AMTRoot, h); err != nil {
+			return b, fmt.Errorf("AMT root: %w", err)
 		}
-		w.u32(p.AMTLeaves)
+		b = binary.BigEndian.AppendUint32(b, p.AMTLeaves)
 	}
-	return nil
+	return b, nil
 }
 
-func (p *A1) decodeBody(r *reader, h int) error {
+func (p *A1) decode(r *reader, h int) error {
 	flags, err := r.u8()
 	if err != nil {
 		return err
 	}
 	if flags&^(a1HasPrePair|a1HasAMT) != 0 || flags == a1HasPrePair|a1HasAMT {
-		return fmt.Errorf("A1 flags %#x invalid", flags)
+		return fmt.Errorf("A1 flags %#x invalid", flags) //alpha:alloc-ok malformed input only
 	}
 	if p.AuthIdx, err = r.u32(); err != nil {
 		return err
 	}
-	if p.Auth, err = r.digest(h); err != nil {
+	if p.Auth, err = r.take(h); err != nil {
 		return err
 	}
 	if p.KeyIdx, err = r.u32(); err != nil {
 		return err
 	}
 	if flags&a1HasPrePair != 0 {
-		if p.PreAck, err = r.digest(h); err != nil {
+		if p.PreAck, err = r.take(h); err != nil {
 			return err
 		}
-		if p.PreNack, err = r.digest(h); err != nil {
+		if p.PreNack, err = r.take(h); err != nil {
 			return err
 		}
 	}
 	if flags&a1HasAMT != 0 {
-		if p.AMTRoot, err = r.digest(h); err != nil {
+		if p.AMTRoot, err = r.take(h); err != nil {
 			return err
 		}
 		if p.AMTLeaves, err = r.u32(); err != nil {
 			return err
 		}
 		if p.AMTLeaves == 0 || p.AMTLeaves > MaxLeafCount {
-			return fmt.Errorf("A1 AMT leaf count %d out of range", p.AMTLeaves)
+			return fmt.Errorf("A1 AMT leaf count %d out of range", p.AMTLeaves) //alpha:alloc-ok malformed input only
 		}
 	}
 	return nil
@@ -385,8 +421,9 @@ type S2 struct {
 	MsgIndex uint32
 	// LeafCount repeats the batch's Merkle leaf count (mode M).
 	LeafCount uint32
-	// Proof is the complementary branch set, leaf level first (mode M).
-	Proof [][]byte
+	// Proof is the complementary branch set, leaf level first, as a flat
+	// run of h-byte digests (modes M and CM).
+	Proof []byte
 	// Payload is the protected message m.
 	Payload []byte
 }
@@ -394,43 +431,68 @@ type S2 struct {
 // Type implements Message.
 func (*S2) Type() Type { return TypeS2 }
 
-func (p *S2) encodeBody(w *writer, h int) error {
-	w.u8(uint8(p.Mode))
-	w.u32(p.KeyIdx)
-	if err := w.digest(p.Key, h); err != nil {
-		return fmt.Errorf("key element: %w", err)
+// S2Size returns the encoded length, header included, of an S2 with digest
+// size h, proof depth depth (modes M and CM) and a payload of the given
+// length. Senders use it to size one buffer for a whole exchange.
+func S2Size(mode Mode, h, depth, payload int) int {
+	n := HeaderSize + 1 + 4 + h + 4 + 4 + payload
+	if mode == ModeM || mode == ModeCM {
+		n += 4 + 1 + depth*h
 	}
-	w.u32(p.MsgIndex)
+	return n
+}
+
+// S1Size returns the encoded length, header included, of an S1 with digest
+// size h carrying count MACs (modes base and C) or roots (mode CM).
+func S1Size(mode Mode, h, count int) int {
+	n := HeaderSize + 1 + 4 + h + 4
+	switch mode {
+	case ModeBase, ModeC:
+		n += 2 + count*h
+	case ModeM:
+		n += 4 + h
+	case ModeCM:
+		n += 4 + 2 + count*h
+	}
+	return n
+}
+
+func (p *S2) appendBody(b []byte, h int) ([]byte, error) {
+	b = append(b, uint8(p.Mode))
+	b = binary.BigEndian.AppendUint32(b, p.KeyIdx)
+	var err error
+	if b, err = appendDigest(b, p.Key, h); err != nil {
+		return b, fmt.Errorf("key element: %w", err)
+	}
+	b = binary.BigEndian.AppendUint32(b, p.MsgIndex)
 	switch p.Mode {
 	case ModeBase, ModeC:
 		if len(p.Proof) != 0 {
-			return errors.New("proof present outside mode M")
+			return b, errors.New("proof present outside mode M")
 		}
 	case ModeM, ModeCM:
+		depth := len(p.Proof) / h
 		if p.LeafCount == 0 || p.LeafCount > MaxLeafCount {
-			return fmt.Errorf("S2 leaf count %d out of range", p.LeafCount)
+			return b, fmt.Errorf("S2 leaf count %d out of range", p.LeafCount)
 		}
-		if len(p.Proof) > MaxProofDepth {
-			return fmt.Errorf("S2 proof depth %d exceeds %d", len(p.Proof), MaxProofDepth)
+		if depth > MaxProofDepth {
+			return b, fmt.Errorf("S2 proof depth %d exceeds %d", depth, MaxProofDepth)
 		}
-		w.u32(p.LeafCount)
-		w.u8(uint8(len(p.Proof)))
-		for i, d := range p.Proof {
-			if err := w.digest(d, h); err != nil {
-				return fmt.Errorf("proof node %d: %w", i, err)
-			}
+		b = binary.BigEndian.AppendUint32(b, p.LeafCount)
+		b = append(b, uint8(depth))
+		if b, err = appendDigests(b, p.Proof, h); err != nil {
+			return b, fmt.Errorf("proof: %w", err)
 		}
 	default:
-		return fmt.Errorf("unknown mode %v", p.Mode)
+		return b, fmt.Errorf("unknown mode %v", p.Mode)
 	}
 	if len(p.Payload) > MaxPayload {
-		return fmt.Errorf("payload of %d bytes exceeds %d", len(p.Payload), MaxPayload)
+		return b, fmt.Errorf("payload of %d bytes exceeds %d", len(p.Payload), MaxPayload)
 	}
-	w.bytes32(p.Payload)
-	return nil
+	return append32(b, p.Payload), nil
 }
 
-func (p *S2) decodeBody(r *reader, h int) error {
+func (p *S2) decode(r *reader, h int) error {
 	m, err := r.u8()
 	if err != nil {
 		return err
@@ -439,7 +501,7 @@ func (p *S2) decodeBody(r *reader, h int) error {
 	if p.KeyIdx, err = r.u32(); err != nil {
 		return err
 	}
-	if p.Key, err = r.digest(h); err != nil {
+	if p.Key, err = r.take(h); err != nil {
 		return err
 	}
 	if p.MsgIndex, err = r.u32(); err != nil {
@@ -452,22 +514,22 @@ func (p *S2) decodeBody(r *reader, h int) error {
 			return err
 		}
 		if p.LeafCount == 0 || p.LeafCount > MaxLeafCount {
-			return fmt.Errorf("S2 leaf count %d out of range", p.LeafCount)
+			return fmt.Errorf("S2 leaf count %d out of range", p.LeafCount) //alpha:alloc-ok malformed input only
 		}
 		depth, err := r.u8()
 		if err != nil {
 			return err
 		}
 		if int(depth) > MaxProofDepth {
-			return fmt.Errorf("S2 proof depth %d exceeds %d", depth, MaxProofDepth)
+			return fmt.Errorf("S2 proof depth %d exceeds %d", depth, MaxProofDepth) //alpha:alloc-ok malformed input only
 		}
-		if p.Proof, err = r.digests(int(depth), h); err != nil {
+		if p.Proof, err = r.take(int(depth) * h); err != nil {
 			return err
 		}
 	default:
-		return fmt.Errorf("unknown mode %d", m)
+		return fmt.Errorf("unknown mode %d", m) //alpha:alloc-ok malformed input only
 	}
-	if p.Payload, err = r.bytes32(MaxPayload); err != nil {
+	if p.Payload, err = r.field32(MaxPayload); err != nil {
 		return err
 	}
 	return nil
@@ -489,8 +551,9 @@ type A2 struct {
 	// Secret is s_ack or s_nack (base/C) or the AMT leaf secret (M).
 	Secret []byte
 	// Proof and Other carry the AMT opening (mode M): the complementary
-	// branches within the chosen subtree and the opposite subtree's root.
-	Proof [][]byte
+	// branches within the chosen subtree (a flat run of h-byte digests)
+	// and the opposite subtree's root.
+	Proof []byte
 	Other []byte
 	// AMTLeaves repeats the AMT's message count (mode M).
 	AMTLeaves uint32
@@ -499,50 +562,50 @@ type A2 struct {
 // Type implements Message.
 func (*A2) Type() Type { return TypeA2 }
 
-func (p *A2) encodeBody(w *writer, h int) error {
-	w.u8(uint8(p.Mode))
-	w.u32(p.KeyIdx)
-	if err := w.digest(p.Key, h); err != nil {
-		return fmt.Errorf("key element: %w", err)
+func (p *A2) appendBody(b []byte, h int) ([]byte, error) {
+	b = append(b, uint8(p.Mode))
+	b = binary.BigEndian.AppendUint32(b, p.KeyIdx)
+	var err error
+	if b, err = appendDigest(b, p.Key, h); err != nil {
+		return b, fmt.Errorf("key element: %w", err)
 	}
-	w.u32(p.MsgIndex)
+	b = binary.BigEndian.AppendUint32(b, p.MsgIndex)
 	if p.Ack {
-		w.u8(1)
+		b = append(b, 1)
 	} else {
-		w.u8(0)
+		b = append(b, 0)
 	}
-	if err := w.digest(p.Secret, h); err != nil {
-		return fmt.Errorf("secret: %w", err)
+	if b, err = appendDigest(b, p.Secret, h); err != nil {
+		return b, fmt.Errorf("secret: %w", err)
 	}
 	switch p.Mode {
 	case ModeBase, ModeC:
 		if len(p.Proof) != 0 || p.Other != nil {
-			return errors.New("AMT opening present outside mode M")
+			return b, errors.New("AMT opening present outside mode M")
 		}
 	case ModeM:
+		depth := len(p.Proof) / h
 		if p.AMTLeaves == 0 || p.AMTLeaves > MaxLeafCount {
-			return fmt.Errorf("A2 AMT leaf count %d out of range", p.AMTLeaves)
+			return b, fmt.Errorf("A2 AMT leaf count %d out of range", p.AMTLeaves)
 		}
-		if len(p.Proof) > MaxProofDepth {
-			return fmt.Errorf("A2 proof depth %d exceeds %d", len(p.Proof), MaxProofDepth)
+		if depth > MaxProofDepth {
+			return b, fmt.Errorf("A2 proof depth %d exceeds %d", depth, MaxProofDepth)
 		}
-		w.u32(p.AMTLeaves)
-		w.u8(uint8(len(p.Proof)))
-		for i, d := range p.Proof {
-			if err := w.digest(d, h); err != nil {
-				return fmt.Errorf("proof node %d: %w", i, err)
-			}
+		b = binary.BigEndian.AppendUint32(b, p.AMTLeaves)
+		b = append(b, uint8(depth))
+		if b, err = appendDigests(b, p.Proof, h); err != nil {
+			return b, fmt.Errorf("proof: %w", err)
 		}
-		if err := w.digest(p.Other, h); err != nil {
-			return fmt.Errorf("other subtree root: %w", err)
+		if b, err = appendDigest(b, p.Other, h); err != nil {
+			return b, fmt.Errorf("other subtree root: %w", err)
 		}
 	default:
-		return fmt.Errorf("unknown mode %v", p.Mode)
+		return b, fmt.Errorf("unknown mode %v", p.Mode)
 	}
-	return nil
+	return b, nil
 }
 
-func (p *A2) decodeBody(r *reader, h int) error {
+func (p *A2) decode(r *reader, h int) error {
 	m, err := r.u8()
 	if err != nil {
 		return err
@@ -551,7 +614,7 @@ func (p *A2) decodeBody(r *reader, h int) error {
 	if p.KeyIdx, err = r.u32(); err != nil {
 		return err
 	}
-	if p.Key, err = r.digest(h); err != nil {
+	if p.Key, err = r.take(h); err != nil {
 		return err
 	}
 	if p.MsgIndex, err = r.u32(); err != nil {
@@ -562,10 +625,10 @@ func (p *A2) decodeBody(r *reader, h int) error {
 		return err
 	}
 	if ack > 1 {
-		return fmt.Errorf("A2 ack flag %d invalid", ack)
+		return fmt.Errorf("A2 ack flag %d invalid", ack) //alpha:alloc-ok malformed input only
 	}
 	p.Ack = ack == 1
-	if p.Secret, err = r.digest(h); err != nil {
+	if p.Secret, err = r.take(h); err != nil {
 		return err
 	}
 	switch p.Mode {
@@ -575,23 +638,23 @@ func (p *A2) decodeBody(r *reader, h int) error {
 			return err
 		}
 		if p.AMTLeaves == 0 || p.AMTLeaves > MaxLeafCount {
-			return fmt.Errorf("A2 AMT leaf count %d out of range", p.AMTLeaves)
+			return fmt.Errorf("A2 AMT leaf count %d out of range", p.AMTLeaves) //alpha:alloc-ok malformed input only
 		}
 		depth, err := r.u8()
 		if err != nil {
 			return err
 		}
 		if int(depth) > MaxProofDepth {
-			return fmt.Errorf("A2 proof depth %d exceeds %d", depth, MaxProofDepth)
+			return fmt.Errorf("A2 proof depth %d exceeds %d", depth, MaxProofDepth) //alpha:alloc-ok malformed input only
 		}
-		if p.Proof, err = r.digests(int(depth), h); err != nil {
+		if p.Proof, err = r.take(int(depth) * h); err != nil {
 			return err
 		}
-		if p.Other, err = r.digest(h); err != nil {
+		if p.Other, err = r.take(h); err != nil {
 			return err
 		}
 	default:
-		return fmt.Errorf("unknown mode %d", m)
+		return fmt.Errorf("unknown mode %d", m) //alpha:alloc-ok malformed input only
 	}
 	return nil
 }

@@ -32,26 +32,31 @@ type Bundle struct {
 // Type implements Message.
 func (*Bundle) Type() Type { return TypeBundle }
 
-func (b *Bundle) encodeBody(w *writer, h int) error {
+func (b *Bundle) appendBody(out []byte) ([]byte, error) {
 	if len(b.Packets) < 2 || len(b.Packets) > MaxBundlePackets {
-		return fmt.Errorf("bundle of %d packets, want 2..%d", len(b.Packets), MaxBundlePackets)
+		return out, fmt.Errorf("bundle of %d packets, want 2..%d", len(b.Packets), MaxBundlePackets)
 	}
-	w.u8(uint8(len(b.Packets)))
+	out = append(out, uint8(len(b.Packets)))
 	for i, raw := range b.Packets {
 		if len(raw) < HeaderSize {
-			return fmt.Errorf("bundle packet %d too short", i)
+			return out, fmt.Errorf("bundle packet %d too short", i)
 		}
 		if Type(raw[3]) == TypeBundle {
-			return errors.New("bundles must not nest")
+			return out, errNestedBundle
 		}
-		if err := w.bytes16(raw); err != nil {
-			return err
+		var err error
+		if out, err = append16(out, raw); err != nil {
+			return out, err
 		}
 	}
-	return nil
+	return out, nil
 }
 
-func (b *Bundle) decodeBody(r *reader, h int) error {
+var errNestedBundle = errors.New("bundles must not nest")
+
+// decode parses the sub-packet list. The list itself is the one allocation
+// of the decoder; each entry aliases the datagram like every other field.
+func (b *Bundle) decode(r *reader) error {
 	count, err := r.u8()
 	if err != nil {
 		return err
@@ -61,7 +66,7 @@ func (b *Bundle) decodeBody(r *reader, h int) error {
 	}
 	b.Packets = make([][]byte, count)
 	for i := range b.Packets {
-		raw, err := r.bytes16()
+		raw, err := r.field16()
 		if err != nil {
 			return err
 		}
@@ -69,7 +74,7 @@ func (b *Bundle) decodeBody(r *reader, h int) error {
 			return ErrTruncated
 		}
 		if Type(raw[3]) == TypeBundle {
-			return errors.New("bundles must not nest")
+			return errNestedBundle
 		}
 		b.Packets[i] = raw
 	}

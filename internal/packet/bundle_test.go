@@ -73,19 +73,11 @@ func TestBundleValidation(t *testing.T) {
 	}
 	// And a hand-crafted nested bundle must fail decode: splice the
 	// nested bundle bytes into a frame.
-	w := &writer{}
-	w.u16(Magic)
-	w.u8(Version)
-	w.u8(uint8(TypeBundle))
-	w.u8(uint8(suite.IDSHA1))
-	w.u8(0)
-	w.u64(9)
-	w.u32(0)
-	w.u8(0)
-	w.u8(2)
-	w.bytes16(nested)
-	w.bytes16(one)
-	if _, _, err := Decode(w.buf); err == nil {
+	frame := []byte{Magic >> 8, Magic & 0xFF, Version, uint8(TypeBundle), uint8(suite.IDSHA1), 0,
+		0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 2}
+	frame, _ = append16(frame, nested)
+	frame, _ = append16(frame, one)
+	if _, _, err := Decode(frame); err == nil {
 		t.Fatalf("nested bundle accepted on decode")
 	}
 }

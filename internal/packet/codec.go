@@ -1,10 +1,16 @@
-// Binary codec helpers: a growing writer and a bounds-checked reader.
+// Binary codec helpers: append-style field encoders and a bounds-checked,
+// aliasing reader.
 //
 // The codecs are deliberately boring: fixed-width big-endian integers,
 // digests whose length is implied by the association's hash suite, and
 // explicit counts for anything repeated. Every read is bounds-checked and a
 // failed parse returns an error rather than panicking, because relays parse
 // packets from unauthenticated sources by design.
+//
+// The reader never copies: every byte field it returns is a subslice of the
+// input, capacity-clipped so that appending to it cannot scribble over the
+// following field. Whoever keeps a field past the life of the datagram's
+// buffer must copy it (see Decode).
 
 package packet
 
@@ -17,42 +23,58 @@ import (
 // ErrTruncated is returned when a packet ends before a declared field.
 var ErrTruncated = errors.New("packet: truncated packet")
 
-// writer accumulates an encoded packet.
-type writer struct {
-	buf []byte
-}
-
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u16(v uint16) { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
-
-// digest appends a fixed-size digest, validating its length.
-func (w *writer) digest(d []byte, size int) error {
+// appendDigest appends a fixed-size digest, validating its length.
+func appendDigest(b, d []byte, size int) ([]byte, error) {
 	if len(d) != size {
-		return fmt.Errorf("packet: digest length %d, want %d", len(d), size)
+		return b, fmt.Errorf("packet: digest length %d, want %d", len(d), size)
 	}
-	w.buf = append(w.buf, d...)
-	return nil
+	return append(b, d...), nil
 }
 
-// bytes32 appends a u32 length prefix followed by the raw bytes.
-func (w *writer) bytes32(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// bytes16 appends a u16 length prefix followed by the raw bytes.
-func (w *writer) bytes16(b []byte) error {
-	if len(b) > 0xFFFF {
-		return fmt.Errorf("packet: field of %d bytes exceeds 16-bit length prefix", len(b))
+// appendDigests appends a flat run of fixed-size digests, validating that
+// it holds a whole number of them.
+func appendDigests(b, flat []byte, size int) ([]byte, error) {
+	if len(flat)%size != 0 {
+		return b, fmt.Errorf("packet: digest list of %d bytes is not a multiple of %d", len(flat), size)
 	}
-	w.u16(uint16(len(b)))
-	w.buf = append(w.buf, b...)
-	return nil
+	return append(b, flat...), nil
 }
 
-// reader consumes an encoded packet.
+// append32 appends a u32 length prefix followed by the raw bytes.
+func append32(b, field []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(field)))
+	return append(b, field...)
+}
+
+// append16 appends a u16 length prefix followed by the raw bytes.
+func append16(b, field []byte) ([]byte, error) {
+	if len(field) > 0xFFFF {
+		return b, fmt.Errorf("packet: field of %d bytes exceeds 16-bit length prefix", len(field))
+	}
+	b = binary.BigEndian.AppendUint16(b, uint16(len(field)))
+	return append(b, field...), nil
+}
+
+// Digest returns digest i of a flat run of size-byte digests (an S1's MAC
+// block or root list, an S2/A2 proof), capacity-clipped to the digest.
+func Digest(flat []byte, i, size int) []byte {
+	return flat[i*size : (i+1)*size : (i+1)*size]
+}
+
+// Retain copies field onto the end of block and returns the copy, capacity-
+// clipped; a nil or empty field stays nil. It is how handlers keep decoded
+// fields past the datagram's life: with block sized up front for every
+// field one packet contributes, they all share a single allocation.
+func Retain(block *[]byte, field []byte) []byte {
+	if len(field) == 0 {
+		return nil
+	}
+	off := len(*block)
+	*block = append(*block, field...)
+	return (*block)[off:len(*block):len(*block)]
+}
+
+// reader consumes an encoded packet without copying it.
 type reader struct {
 	buf []byte
 	off int
@@ -96,64 +118,39 @@ func (r *reader) u64() (uint64, error) {
 	return v, nil
 }
 
-// digest reads a fixed-size digest. The returned slice is a copy so parsed
-// packets do not alias transport buffers that may be reused.
-func (r *reader) digest(size int) ([]byte, error) {
-	if r.remaining() < size {
+// take returns the next n bytes as a capacity-clipped subslice of the input.
+// Fixed-size digests are take(h); a run of count digests is take(count*h).
+func (r *reader) take(n int) ([]byte, error) {
+	if n < 0 || r.remaining() < n {
 		return nil, ErrTruncated
 	}
-	d := make([]byte, size)
-	copy(d, r.buf[r.off:])
-	r.off += size
-	return d, nil
+	b := r.buf[r.off : r.off+n : r.off+n]
+	r.off += n
+	return b, nil
 }
 
-// bytes32 reads a u32-length-prefixed byte field, enforcing a sanity cap.
-func (r *reader) bytes32(maxLen int) ([]byte, error) {
+// field32 reads a u32-length-prefixed byte field, enforcing a sanity cap.
+func (r *reader) field32(maxLen int) ([]byte, error) {
 	n, err := r.u32()
 	if err != nil {
 		return nil, err
 	}
-	if int(n) > maxLen || int(n) > r.remaining() {
+	if int(n) > maxLen {
 		return nil, ErrTruncated
 	}
-	b := make([]byte, n)
-	copy(b, r.buf[r.off:])
-	r.off += int(n)
-	return b, nil
+	return r.take(int(n))
 }
 
-// bytes16 reads a u16-length-prefixed byte field. A zero-length field
+// field16 reads a u16-length-prefixed byte field. A zero-length field
 // decodes as nil so that encode/decode round-trips are exact.
-func (r *reader) bytes16() ([]byte, error) {
+func (r *reader) field16() ([]byte, error) {
 	n, err := r.u16()
 	if err != nil {
 		return nil, err
 	}
-	if int(n) > r.remaining() {
-		return nil, ErrTruncated
-	}
+	b, err := r.take(int(n))
 	if n == 0 {
-		return nil, nil
+		return nil, err
 	}
-	b := make([]byte, n)
-	copy(b, r.buf[r.off:])
-	r.off += int(n)
-	return b, nil
-}
-
-// digests reads count fixed-size digests.
-func (r *reader) digests(count, size int) ([][]byte, error) {
-	if count < 0 || r.remaining() < count*size {
-		return nil, ErrTruncated
-	}
-	out := make([][]byte, count)
-	for i := range out {
-		d, err := r.digest(size)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = d
-	}
-	return out, nil
+	return b, err
 }

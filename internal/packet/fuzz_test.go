@@ -41,12 +41,12 @@ func FuzzParsePacket(f *testing.F) {
 		tok[i] = byte(i * 3)
 	}
 	seed(tokHdr, &Handshake{Initiator: true, SigAnchor: d(1), AckAnchor: d(2), ChainLen: 8, Nonce: d(3), HasToken: true, Token: tok})
-	seed(hdr(TypeS1), &S1{Mode: ModeC, AuthIdx: 1, Auth: d(1), KeyIdx: 2, MACs: [][]byte{d(2), d(3)}})
+	seed(hdr(TypeS1), &S1{Mode: ModeC, AuthIdx: 1, Auth: d(1), KeyIdx: 2, MACBlock: flat(d(2), d(3))})
 	seed(hdr(TypeS1), &S1{Mode: ModeM, AuthIdx: 1, Auth: d(1), KeyIdx: 2, LeafCount: 8, Root: d(4)})
 	seed(hdr(TypeA1), &A1{AuthIdx: 1, Auth: d(1), KeyIdx: 2, PreAck: d(2), PreNack: d(3)})
 	seed(hdr(TypeA1), &A1{AuthIdx: 1, Auth: d(1), KeyIdx: 2, AMTRoot: d(5), AMTLeaves: 4})
-	seed(hdr(TypeS2), &S2{Mode: ModeM, KeyIdx: 2, Key: d(1), MsgIndex: 3, LeafCount: 8, Proof: [][]byte{d(2), d(3), d(4)}, Payload: []byte("payload")})
-	seed(hdr(TypeA2), &A2{Mode: ModeM, KeyIdx: 2, Key: d(1), MsgIndex: 1, Ack: true, Secret: d(2), Proof: [][]byte{d(3)}, Other: d(4), AMTLeaves: 2})
+	seed(hdr(TypeS2), &S2{Mode: ModeM, KeyIdx: 2, Key: d(1), MsgIndex: 3, LeafCount: 8, Proof: flat(d(2), d(3), d(4)), Payload: []byte("payload")})
+	seed(hdr(TypeA2), &A2{Mode: ModeM, KeyIdx: 2, Key: d(1), MsgIndex: 1, Ack: true, Secret: d(2), Proof: flat(d(3)), Other: d(4), AMTLeaves: 2})
 	f.Add([]byte{})
 	f.Add([]byte{0xA1, 0xFA})
 

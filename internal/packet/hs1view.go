@@ -3,12 +3,13 @@
 // The UDP server must read an unadmitted HS1's anchors and connect token
 // before deciding whether the packet deserves any state at all — and it
 // must do so without allocating, because rejection is the hot path under a
-// handshake flood. HS1View walks the same wire layout Handshake.decodeBody
-// parses, but returns subslices of the input instead of copies and never
-// constructs an error. It is strictly weaker than Decode: a packet Decode
-// would reject may still yield a view (trailing bytes, oversize blobs),
-// which is fine because every admitted HS1 goes through the full parser
-// inside the endpoint anyway.
+// handshake flood. HS1View walks the same wire layout Packet.Decode parses
+// and, like it, returns subslices of the input, but it reads only the
+// admission fields and never constructs an error: a rejected packet costs
+// no *ParseError. It is strictly weaker than Decode: a packet Decode would
+// reject may still yield a view (trailing bytes, oversize blobs), which is
+// fine because every admitted HS1 goes through the full parser inside the
+// endpoint anyway.
 
 package packet
 

@@ -23,7 +23,7 @@ func negS1(t *testing.T) []byte {
 	}
 	raw, err := Encode(
 		Header{Type: TypeS1, Suite: s.ID(), Flags: FlagReliable, Assoc: 9, Seq: 3},
-		&S1{Mode: ModeC, AuthIdx: 1, Auth: d(1), KeyIdx: 2, MACs: [][]byte{d(2), d(3)}},
+		&S1{Mode: ModeC, AuthIdx: 1, Auth: d(1), KeyIdx: 2, MACBlock: flat(d(2), d(3))},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -139,13 +139,13 @@ func TestDecodeTruncationSweep(t *testing.T) {
 	}
 	msgs := []Message{
 		&Handshake{Initiator: true, SigAnchor: d(1), AckAnchor: d(2), ChainLen: 8, Nonce: d(3)},
-		&S1{Mode: ModeC, AuthIdx: 1, Auth: d(1), KeyIdx: 2, MACs: [][]byte{d(2), d(3)}},
+		&S1{Mode: ModeC, AuthIdx: 1, Auth: d(1), KeyIdx: 2, MACBlock: flat(d(2), d(3))},
 		&S1{Mode: ModeM, AuthIdx: 1, Auth: d(1), KeyIdx: 2, LeafCount: 8, Root: d(4)},
-		&S1{Mode: ModeCM, AuthIdx: 1, Auth: d(1), KeyIdx: 2, LeafCount: 8, Roots: [][]byte{d(5), d(6)}},
+		&S1{Mode: ModeCM, AuthIdx: 1, Auth: d(1), KeyIdx: 2, LeafCount: 8, Roots: flat(d(5), d(6))},
 		&A1{AuthIdx: 1, Auth: d(1), KeyIdx: 2, PreAck: d(2), PreNack: d(3)},
 		&A1{AuthIdx: 1, Auth: d(1), KeyIdx: 2, AMTRoot: d(5), AMTLeaves: 4},
-		&S2{Mode: ModeM, KeyIdx: 2, Key: d(1), MsgIndex: 3, LeafCount: 8, Proof: [][]byte{d(2), d(3)}, Payload: []byte("payload")},
-		&A2{Mode: ModeM, KeyIdx: 2, Key: d(1), MsgIndex: 1, Ack: true, Secret: d(2), Proof: [][]byte{d(3)}, Other: d(4), AMTLeaves: 2},
+		&S2{Mode: ModeM, KeyIdx: 2, Key: d(1), MsgIndex: 3, LeafCount: 8, Proof: flat(d(2), d(3)), Payload: []byte("payload")},
+		&A2{Mode: ModeM, KeyIdx: 2, Key: d(1), MsgIndex: 1, Ack: true, Secret: d(2), Proof: flat(d(3)), Other: d(4), AMTLeaves: 2},
 	}
 	for _, m := range msgs {
 		raw, err := Encode(hdr(m.Type()), m)

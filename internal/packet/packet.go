@@ -15,6 +15,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -134,14 +135,11 @@ type Header struct {
 	Seq uint32
 }
 
-// Message is any packet body that can be encoded under a Header.
+// Message is any packet body that can be encoded under a Header: a pointer
+// to Handshake, S1, A1, S2, A2 or Bundle.
 type Message interface {
 	// Type returns the packet type the body encodes as.
 	Type() Type
-	// encodeBody appends the body; h is the suite digest size.
-	encodeBody(w *writer, h int) error
-	// decodeBody parses the body; h is the suite digest size.
-	decodeBody(r *reader, h int) error
 }
 
 // Errors returned by the top-level codec.
@@ -178,114 +176,198 @@ func (e *ParseError) Error() string {
 
 func (e *ParseError) Unwrap() error { return e.Err }
 
-// Encode serializes a header and body into a fresh buffer.
-func Encode(hdr Header, msg Message) ([]byte, error) {
-	if hdr.Type != msg.Type() {
-		return nil, fmt.Errorf("packet: header type %v does not match body type %v", hdr.Type, msg.Type())
+// Append serializes a header and body onto dst and returns the extended
+// buffer. Callers that size dst up front (the sender encodes a whole
+// exchange into one buffer) encode without allocating; on error dst is
+// returned unextended.
+func Append(dst []byte, hdr Header, msg Message) ([]byte, error) {
+	h := suite.SizeByID(hdr.Suite)
+	if h == 0 {
+		_, err := suite.ByID(hdr.Suite)
+		return dst, err
 	}
-	st, err := suite.ByID(hdr.Suite)
-	if err != nil {
-		return nil, err
-	}
-	w := &writer{buf: make([]byte, 0, 256)}
-	w.u16(Magic)
-	w.u8(Version)
-	w.u8(uint8(hdr.Type))
-	w.u8(uint8(hdr.Suite))
-	w.u8(hdr.Flags)
-	w.u64(hdr.Assoc)
-	w.u32(hdr.Seq)
+	start := len(dst)
+	b := binary.BigEndian.AppendUint16(dst, Magic)
+	b = append(b, Version, uint8(hdr.Type), uint8(hdr.Suite), hdr.Flags)
+	b = binary.BigEndian.AppendUint64(b, hdr.Assoc)
+	b = binary.BigEndian.AppendUint32(b, hdr.Seq)
 	// Filter cookie slot; zero until a transport stamps it (filter.go).
-	w.u8(0)
-	if err := msg.encodeBody(w, st.Size()); err != nil {
-		return nil, err
+	b = append(b, 0)
+	// A type switch rather than an interface method call: it keeps msg from
+	// escaping, so callers can build bodies on the stack.
+	var err error
+	var body Type
+	switch m := msg.(type) {
+	case *Handshake:
+		body = m.Type()
+		b, err = m.appendBody(b, h)
+	case *S1:
+		body = TypeS1
+		b, err = m.appendBody(b, h)
+	case *A1:
+		body = TypeA1
+		b, err = m.appendBody(b, h)
+	case *S2:
+		body = TypeS2
+		b, err = m.appendBody(b, h)
+	case *A2:
+		body = TypeA2
+		b, err = m.appendBody(b, h)
+	case *Bundle:
+		body = TypeBundle
+		b, err = m.appendBody(b)
+	default:
+		return dst, ErrBadType
 	}
-	if len(w.buf) > MaxPacketSize {
-		return nil, ErrOversize
+	switch {
+	case hdr.Type != body:
+		return dst, fmt.Errorf("packet: header type %v does not match body type %v", hdr.Type, body)
+	case err != nil:
+		return dst, err
+	case len(b)-start > MaxPacketSize:
+		return dst, ErrOversize
 	}
-	return w.buf, nil
+	return b, nil
 }
 
-// Decode parses a raw packet into its header and typed body. Every failure
-// is reported as a *ParseError wrapping one of the sentinel errors (or a
-// suite/body-level cause), so callers can both classify with errors.Is and
-// extract parse position with errors.As.
+// Encode serializes a header and body into a fresh, exactly sized buffer.
+func Encode(hdr Header, msg Message) ([]byte, error) {
+	// Control packets fit the stack scratch, so they cost one allocation;
+	// larger ones grow onto the heap first.
+	var scratch [512]byte
+	b, err := Append(scratch[:0], hdr, msg)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out, nil
+}
+
+// Packet is one decoded datagram: its header and the body the header's
+// Type names (the other body fields are left as they were). Decode fills a
+// caller-owned Packet — typically a stack variable — and every byte slice
+// it sets aliases the datagram: decoding copies nothing and allocates
+// nothing. Fields are valid only while the datagram's buffer is; a caller
+// that keeps a field past that (buffered pre-signatures, a delivered
+// payload) must copy it.
+type Packet struct {
+	Header
+	Handshake Handshake
+	S1        S1
+	A1        A1
+	S2        S2
+	A2        A2
+	Bundle    Bundle
+}
+
+// Body returns the decoded body as a Message, e.g. for re-encoding.
+func (p *Packet) Body() Message {
+	switch p.Type {
+	case TypeHS1, TypeHS2:
+		return &p.Handshake
+	case TypeS1:
+		return &p.S1
+	case TypeA1:
+		return &p.A1
+	case TypeS2:
+		return &p.S2
+	case TypeA2:
+		return &p.A2
+	case TypeBundle:
+		return &p.Bundle
+	default:
+		return nil
+	}
+}
+
+// Decode parses a raw packet into p. Every failure is reported as a
+// *ParseError wrapping one of the sentinel errors (or a suite/body-level
+// cause), so callers can both classify with errors.Is and extract parse
+// position with errors.As. Decoding a well-formed packet never allocates.
+//
+//alpha:hotpath
+func (p *Packet) Decode(b []byte) error {
+	r := reader{buf: b}
+	if t, err := decode(&r, p); err != nil {
+		return &ParseError{PacketType: t, Offset: r.off, Err: err} //alpha:alloc-ok malformed input only; the error is the caller's drop reason
+	}
+	return nil
+}
+
+// Decode is Packet.Decode into a fresh Packet, returning the header and the
+// body as a Message: a convenience for tools and tests that want the typed
+// body. The body's fields alias b exactly as Packet.Decode's do.
 func Decode(b []byte) (Header, Message, error) {
-	if len(b) > MaxPacketSize {
-		return Header{}, nil, &ParseError{Offset: 0, Err: ErrOversize}
+	p := new(Packet)
+	if err := p.Decode(b); err != nil {
+		return Header{}, nil, err
 	}
-	r := &reader{buf: b}
-	fail := func(t Type, err error) (Header, Message, error) {
-		return Header{}, nil, &ParseError{PacketType: t, Offset: r.off, Err: err}
+	return p.Header, p.Body(), nil
+}
+
+// decode is Packet.Decode's body. It reports the packet type it failed in
+// (TypeInvalid while still in the fixed header) alongside the cause.
+func decode(r *reader, p *Packet) (Type, error) {
+	if len(r.buf) > MaxPacketSize {
+		return TypeInvalid, ErrOversize
 	}
-	magic, err := r.u16()
-	if err != nil {
-		return fail(TypeInvalid, err)
+	if r.remaining() < HeaderSize {
+		// Consume what is there so the error offset marks the end.
+		r.off = len(r.buf)
+		return TypeInvalid, ErrTruncated
 	}
-	if magic != Magic {
-		return fail(TypeInvalid, ErrBadMagic)
+	b := r.buf
+	if binary.BigEndian.Uint16(b) != Magic {
+		return TypeInvalid, ErrBadMagic
 	}
-	ver, err := r.u8()
-	if err != nil {
-		return fail(TypeInvalid, err)
-	}
-	if ver != Version {
-		return fail(TypeInvalid, ErrBadVersion)
-	}
-	var hdr Header
-	t, err := r.u8()
-	if err != nil {
-		return fail(TypeInvalid, err)
-	}
-	hdr.Type = Type(t)
-	sid, err := r.u8()
-	if err != nil {
-		return fail(TypeInvalid, err)
-	}
-	hdr.Suite = suite.ID(sid)
-	if hdr.Flags, err = r.u8(); err != nil {
-		return fail(TypeInvalid, err)
-	}
-	if hdr.Assoc, err = r.u64(); err != nil {
-		return fail(TypeInvalid, err)
-	}
-	if hdr.Seq, err = r.u32(); err != nil {
-		return fail(TypeInvalid, err)
+	if b[2] != Version {
+		return TypeInvalid, ErrBadVersion
 	}
 	// The trailing header byte is the filter cookie slot (see filter.go):
 	// transports may overwrite it in flight with an address-bound hash, so
 	// the decoder ignores its value. Encode still writes zero.
-	if _, err = r.u8(); err != nil {
-		return fail(TypeInvalid, err)
+	p.Header = Header{
+		Type:  Type(b[3]),
+		Suite: suite.ID(b[4]),
+		Flags: b[5],
+		Assoc: binary.BigEndian.Uint64(b[6:]),
+		Seq:   binary.BigEndian.Uint32(b[14:]),
 	}
-	st, err := suite.ByID(hdr.Suite)
-	if err != nil {
-		return fail(TypeInvalid, err)
+	r.off = HeaderSize
+	h := suite.SizeByID(p.Suite)
+	if h == 0 {
+		_, err := suite.ByID(p.Suite) //alpha:alloc-ok malformed input only: recovers the suite package's error text
+		return TypeInvalid, err
 	}
-	var msg Message
-	switch hdr.Type {
-	case TypeHS1:
-		msg = &Handshake{Initiator: true, HasToken: hdr.Flags&FlagToken != 0}
-	case TypeHS2:
-		msg = &Handshake{HasToken: hdr.Flags&FlagToken != 0}
+	var err error
+	switch p.Type {
+	case TypeHS1, TypeHS2:
+		p.Handshake = Handshake{Initiator: p.Type == TypeHS1, HasToken: p.Flags&FlagToken != 0}
+		err = p.Handshake.decode(r, h)
 	case TypeS1:
-		msg = &S1{}
+		p.S1 = S1{}
+		err = p.S1.decode(r, h)
 	case TypeA1:
-		msg = &A1{}
+		p.A1 = A1{}
+		err = p.A1.decode(r, h)
 	case TypeS2:
-		msg = &S2{}
+		p.S2 = S2{}
+		err = p.S2.decode(r, h)
 	case TypeA2:
-		msg = &A2{}
+		p.A2 = A2{}
+		err = p.A2.decode(r, h)
 	case TypeBundle:
-		msg = &Bundle{}
+		p.Bundle = Bundle{}
+		err = p.Bundle.decode(r) //alpha:alloc-ok bundles (off by default) allocate their sub-packet list
 	default:
-		return fail(TypeInvalid, ErrBadType)
+		return TypeInvalid, ErrBadType
 	}
-	if err := msg.decodeBody(r, st.Size()); err != nil {
-		return fail(hdr.Type, err)
+	if err != nil {
+		return p.Type, err
 	}
 	if r.remaining() != 0 {
-		return fail(hdr.Type, ErrTrailing)
+		return p.Type, ErrTrailing
 	}
-	return hdr, msg, nil
+	return p.Type, nil
 }

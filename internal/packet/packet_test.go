@@ -11,6 +11,11 @@ import (
 	"alpha/internal/suite"
 )
 
+// flat concatenates digests into the wire's flat digest-run layout.
+func flat(ds ...[]byte) []byte {
+	return bytes.Join(ds, nil)
+}
+
 func d(s suite.Suite, seed byte) []byte {
 	b := make([]byte, s.Size())
 	for i := range b {
@@ -77,18 +82,18 @@ func TestS1RoundTripBase(t *testing.T) {
 	s := suite.SHA1()
 	roundTrip(t, hdr(TypeS1, s), &S1{
 		Mode: ModeBase, AuthIdx: 5, Auth: d(s, 9), KeyIdx: 6,
-		MACs: [][]byte{d(s, 4)},
+		MACBlock: flat(d(s, 4)),
 	})
 }
 
 func TestS1RoundTripCumulative(t *testing.T) {
 	s := suite.MMO()
-	macs := make([][]byte, 20)
-	for i := range macs {
-		macs[i] = d(s, byte(i))
+	var macs []byte
+	for i := 0; i < 20; i++ {
+		macs = append(macs, d(s, byte(i))...)
 	}
 	roundTrip(t, hdr(TypeS1, s), &S1{
-		Mode: ModeC, AuthIdx: 11, Auth: d(s, 7), KeyIdx: 12, MACs: macs,
+		Mode: ModeC, AuthIdx: 11, Auth: d(s, 7), KeyIdx: 12, MACBlock: macs,
 	})
 }
 
@@ -104,18 +109,18 @@ func TestS1RoundTripCombined(t *testing.T) {
 	s := suite.SHA1()
 	roundTrip(t, hdr(TypeS1, s), &S1{
 		Mode: ModeCM, AuthIdx: 3, Auth: d(s, 1), KeyIdx: 4,
-		LeafCount: 64, Roots: [][]byte{d(s, 2), d(s, 3), d(s, 4), d(s, 5)},
+		LeafCount: 64, Roots: flat(d(s, 2), d(s, 3), d(s, 4), d(s, 5)),
 	})
 	// An S2 in mode CM uses the M framing.
 	roundTrip(t, hdr(TypeS2, s), &S2{
 		Mode: ModeCM, KeyIdx: 4, Key: d(s, 1), MsgIndex: 17,
-		LeafCount: 64, Proof: [][]byte{d(s, 6), d(s, 7)},
+		LeafCount: 64, Proof: flat(d(s, 6), d(s, 7)),
 		Payload: []byte("combined mode payload"),
 	})
 	// Root count may not exceed the message count.
 	if _, err := Encode(hdr(TypeS1, s), &S1{
 		Mode: ModeCM, AuthIdx: 3, Auth: d(s, 1), KeyIdx: 4,
-		LeafCount: 2, Roots: [][]byte{d(s, 2), d(s, 3), d(s, 4)},
+		LeafCount: 2, Roots: flat(d(s, 2), d(s, 3), d(s, 4)),
 	}); err == nil {
 		t.Fatalf("more roots than messages accepted")
 	}
@@ -168,7 +173,7 @@ func TestS2RoundTrips(t *testing.T) {
 	t.Run("merkle", func(t *testing.T) {
 		roundTrip(t, hdr(TypeS2, s), &S2{
 			Mode: ModeM, KeyIdx: 2, Key: d(s, 1), MsgIndex: 5,
-			LeafCount: 8, Proof: [][]byte{d(s, 2), d(s, 3), d(s, 4)},
+			LeafCount: 8, Proof: flat(d(s, 2), d(s, 3), d(s, 4)),
 			Payload: bytes.Repeat([]byte{0x11}, 999),
 		})
 	})
@@ -192,7 +197,7 @@ func TestA2RoundTrips(t *testing.T) {
 		roundTrip(t, hdr(TypeA2, s), &A2{
 			Mode: ModeM, KeyIdx: 2, Key: d(s, 1), MsgIndex: 6,
 			Ack: true, Secret: d(s, 5),
-			Proof: [][]byte{d(s, 6), d(s, 7)}, Other: d(s, 8), AMTLeaves: 8,
+			Proof: flat(d(s, 6), d(s, 7)), Other: d(s, 8), AMTLeaves: 8,
 		})
 	})
 }
@@ -211,7 +216,7 @@ func TestEncodeValidation(t *testing.T) {
 		{"base multi-MAC", hdr(TypeS1, s), &S1{Mode: ModeBase, Auth: d(s, 1), MACs: [][]byte{d(s, 2), d(s, 3)}}},
 		{"bad mode", hdr(TypeS1, s), &S1{Mode: 9, Auth: d(s, 1), MACs: [][]byte{d(s, 2)}}},
 		{"M zero leaves", hdr(TypeS1, s), &S1{Mode: ModeM, Auth: d(s, 1), Root: d(s, 2)}},
-		{"proof outside M", hdr(TypeS2, s), &S2{Mode: ModeBase, Key: d(s, 1), Proof: [][]byte{d(s, 2)}}},
+		{"proof outside M", hdr(TypeS2, s), &S2{Mode: ModeBase, Key: d(s, 1), Proof: flat(d(s, 2))}},
 		{"oversize payload", hdr(TypeS2, s), &S2{Mode: ModeBase, Key: d(s, 1), Payload: make([]byte, MaxPayload+1)}},
 		{"A2 opening outside M", hdr(TypeA2, s), &A2{Mode: ModeBase, Key: d(s, 1), Secret: d(s, 2), Other: d(s, 3)}},
 	}
@@ -226,7 +231,7 @@ func TestEncodeValidation(t *testing.T) {
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	s := suite.SHA1()
-	raw, err := Encode(hdr(TypeS1, s), &S1{Mode: ModeBase, AuthIdx: 1, Auth: d(s, 1), KeyIdx: 2, MACs: [][]byte{d(s, 2)}})
+	raw, err := Encode(hdr(TypeS1, s), &S1{Mode: ModeBase, AuthIdx: 1, Auth: d(s, 1), KeyIdx: 2, MACBlock: flat(d(s, 2))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,10 +301,10 @@ func TestDecodeNeverPanics(t *testing.T) {
 		seedPackets = append(seedPackets, raw)
 	}
 	enc(hdr(TypeHS1, s), &Handshake{Initiator: true, SigAnchor: d(s, 1), AckAnchor: d(s, 2), ChainLen: 16, Nonce: d(s, 3)})
-	enc(hdr(TypeS1, s), &S1{Mode: ModeC, AuthIdx: 1, Auth: d(s, 1), KeyIdx: 2, MACs: [][]byte{d(s, 2), d(s, 3)}})
+	enc(hdr(TypeS1, s), &S1{Mode: ModeC, AuthIdx: 1, Auth: d(s, 1), KeyIdx: 2, MACBlock: flat(d(s, 2), d(s, 3))})
 	enc(hdr(TypeA1, s), &A1{AuthIdx: 1, Auth: d(s, 1), KeyIdx: 2, PreAck: d(s, 2), PreNack: d(s, 3)})
-	enc(hdr(TypeS2, s), &S2{Mode: ModeM, KeyIdx: 2, Key: d(s, 1), MsgIndex: 1, LeafCount: 4, Proof: [][]byte{d(s, 2), d(s, 3)}, Payload: []byte("p")})
-	enc(hdr(TypeA2, s), &A2{Mode: ModeM, KeyIdx: 2, Key: d(s, 1), Ack: true, Secret: d(s, 2), Proof: [][]byte{d(s, 3)}, Other: d(s, 4), AMTLeaves: 2})
+	enc(hdr(TypeS2, s), &S2{Mode: ModeM, KeyIdx: 2, Key: d(s, 1), MsgIndex: 1, LeafCount: 4, Proof: flat(d(s, 2), d(s, 3)), Payload: []byte("p")})
+	enc(hdr(TypeA2, s), &A2{Mode: ModeM, KeyIdx: 2, Key: d(s, 1), Ack: true, Secret: d(s, 2), Proof: flat(d(s, 3)), Other: d(s, 4), AMTLeaves: 2})
 
 	rng := rand.New(rand.NewSource(42))
 	for round := 0; round < 5000; round++ {
@@ -378,28 +383,5 @@ func TestHeaderSizeConstant(t *testing.T) {
 	// Body of a plain A1: flags(1)+authIdx(4)+auth(20)+keyIdx(4) = 29.
 	if len(raw) != HeaderSize+29 {
 		t.Fatalf("encoded length %d, want %d", len(raw), HeaderSize+29)
-	}
-}
-
-func BenchmarkEncodeS2(b *testing.B) {
-	s := suite.SHA1()
-	h := hdr(TypeS2, s)
-	msg := &S2{Mode: ModeBase, KeyIdx: 2, Key: d(s, 1), Payload: bytes.Repeat([]byte{7}, 1024)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Encode(h, msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeS2(b *testing.B) {
-	s := suite.SHA1()
-	raw, _ := Encode(hdr(TypeS2, s), &S2{Mode: ModeBase, KeyIdx: 2, Key: d(s, 1), Payload: bytes.Repeat([]byte{7}, 1024)})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Decode(raw); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

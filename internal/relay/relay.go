@@ -56,7 +56,9 @@ type Decision struct {
 	// Type is the decoded ALPHA packet type (TypeInvalid if undecodable).
 	Type packet.Type
 	// Extracted holds the verified payload of a forwarded S2: data the
-	// relay may act upon (middlebox signaling).
+	// relay may act upon (middlebox signaling). It aliases the processed
+	// datagram, so a caller that keeps it past the datagram's buffer must
+	// copy it.
 	Extracted []byte
 	// AckObserved is set when a verified A2 confirmed delivery of the
 	// message with this index (meaningful when AckSeen is true).
@@ -268,11 +270,12 @@ type dirState struct {
 // S1's pre-signatures plus, once the A1 passes by, its pre-(n)ack material.
 // This is exactly the "Relay" column of Tables 2 and 3.
 type exchange struct {
-	mode      packet.Mode
-	keyIdx    uint32
-	macs      [][]byte
+	mode   packet.Mode
+	keyIdx uint32
+	// The S1's pre-signatures, as the flat digest runs it carried them in.
+	macs      []byte
 	root      []byte
-	roots     [][]byte
+	roots     []byte
 	leafCount int
 	// auth is the S1's verified chain element, the exchange's own trust
 	// anchor: S2 key elements must hash to it (immune to rekeys).
@@ -294,14 +297,7 @@ type exchange struct {
 
 // bufferedBytes reports this exchange's pre-signature memory (Table 2).
 func (x *exchange) bufferedBytes() int {
-	n := len(x.root)
-	for _, m := range x.macs {
-		n += len(m)
-	}
-	for _, r := range x.roots {
-		n += len(r)
-	}
-	return n
+	return len(x.macs) + len(x.root) + len(x.roots)
 }
 
 // ackBytes reports the additional acknowledgment state (Table 3).
@@ -452,30 +448,34 @@ func (r *Relay) ProcessFrom(now time.Time, upstream int, data []byte) Decision {
 	return r.process(now, data)
 }
 
+// process decodes one datagram into a frame-local Packet (its fields alias
+// data, and the handlers copy what they buffer) and dispatches it.
+//
+//alpha:hotpath
 func (r *Relay) process(now time.Time, data []byte) Decision {
 	r.tnow = now.UnixNano()
 	r.spanKey, r.spanMode = 0, 0
-	hdr, msg, err := packet.Decode(data)
-	if err != nil {
+	var p packet.Packet
+	if err := p.Decode(data); err != nil {
 		// Double-wrap so callers can match the relay-level ErrMalformed
 		// and still extract the parser's typed *packet.ParseError.
-		return r.drop(packet.Header{Type: packet.TypeInvalid}, telemetry.ReasonMalformed, fmt.Errorf("%w: %w", ErrMalformed, err))
+		return r.drop(packet.Header{Type: packet.TypeInvalid}, telemetry.ReasonMalformed, fmt.Errorf("%w: %w", ErrMalformed, err)) //alpha:alloc-ok malformed input only
 	}
-	switch m := msg.(type) {
-	case *packet.Bundle:
-		return r.processBundle(now, hdr, m)
-	case *packet.Handshake:
-		return r.processHandshake(hdr, m)
-	case *packet.S1:
-		return r.processS1(now, hdr, m, len(data))
-	case *packet.A1:
-		return r.processA1(hdr, m)
-	case *packet.S2:
-		return r.processS2(hdr, m)
-	case *packet.A2:
-		return r.processA2(hdr, m)
+	switch p.Type {
+	case packet.TypeBundle:
+		return r.processBundle(now, p.Header, &p.Bundle) //alpha:alloc-ok bundles (off by default) collect sub-decisions and may re-frame
+	case packet.TypeHS1, packet.TypeHS2:
+		return r.processHandshake(p.Header, &p.Handshake) //alpha:alloc-ok a handshake sets up flow state once per association
+	case packet.TypeS1:
+		return r.processS1(now, p.Header, &p.S1, len(data)) //alpha:alloc-ok an S1 buffers its exchange's pre-signatures once per exchange
+	case packet.TypeA1:
+		return r.processA1(p.Header, &p.A1) //alpha:alloc-ok an A1 buffers its exchange's pre-(n)ack material once per exchange
+	case packet.TypeS2:
+		return r.processS2(p.Header, &p.S2)
+	case packet.TypeA2:
+		return r.processA2(p.Header, &p.A2)
 	default:
-		return r.drop(hdr, telemetry.ReasonMalformed, ErrMalformed)
+		return r.drop(p.Header, telemetry.ReasonMalformed, ErrMalformed)
 	}
 }
 
@@ -667,27 +667,39 @@ func (r *Relay) processS1(now time.Time, hdr packet.Header, s1 *packet.S1, size 
 		return r.drop(hdr, telemetry.ReasonBadElement, fmt.Errorf("%w: %v", core.ErrBadAuthElement, err))
 	}
 	r.spanKey, r.spanMode = obs.Key(s1.Auth), uint8(s1.Mode)
-	x := &exchange{mode: s1.Mode, keyIdx: s1.KeyIdx, auth: append([]byte(nil), s1.Auth...)}
+	x := &exchange{mode: s1.Mode, keyIdx: s1.KeyIdx}
+	// presig is the S1's pre-signature material and keep the exchange
+	// field it is buffered in.
 	var batch int
+	var presig []byte
+	var keep *[]byte
 	switch s1.Mode {
 	case packet.ModeBase, packet.ModeC:
-		x.macs = s1.MACs
-		batch = len(s1.MACs)
+		presig, keep = s1.MACBlock, &x.macs
+		batch = len(s1.MACBlock) / f.st.Size()
 	case packet.ModeM:
-		x.root = s1.Root
+		presig, keep = s1.Root, &x.root
 		x.leafCount = int(s1.LeafCount)
 		batch = x.leafCount
 	case packet.ModeCM:
-		x.roots = s1.Roots
+		presig, keep = s1.Roots, &x.roots
 		x.leafCount = int(s1.LeafCount)
 		batch = x.leafCount
-		sub := core.CMSubSize(batch, len(s1.Roots))
-		if (batch+sub-1)/sub != len(s1.Roots) {
+		k := len(s1.Roots) / f.st.Size()
+		sub := core.CMSubSize(batch, k)
+		if (batch+sub-1)/sub != k {
 			return r.drop(hdr, telemetry.ReasonMalformed, ErrMalformed)
 		}
 	default:
 		return r.drop(hdr, telemetry.ReasonMalformed, ErrMalformed)
 	}
+	// The decoded S1 aliases the datagram, which the transport recycles
+	// as soon as this call returns: a missed copy here would let the next
+	// datagram rewrite a buffered pre-signature and defeat §3.5's early
+	// drop. The chain element and pre-signatures share one block.
+	block := make([]byte, 0, len(s1.Auth)+len(presig))
+	x.auth = packet.Retain(&block, s1.Auth)
+	*keep = packet.Retain(&block, presig)
 	x.verified = make([]bool, batch)
 	ds.rx[hdr.Seq] = x
 	ds.order = append(ds.order, hdr.Seq)
@@ -723,11 +735,14 @@ func (r *Relay) processA1(hdr packet.Header, a1 *packet.A1) Decision {
 	}
 	r.spanKey, r.spanMode = obs.Key(x.auth), uint8(x.mode)
 	if x.preAck == nil && x.amtRoot == nil {
-		x.ackAuth = append([]byte(nil), a1.Auth...)
+		// Copied out of the datagram into one block, for the same reason
+		// as the S1's pre-signatures.
+		block := make([]byte, 0, len(a1.Auth)+len(a1.PreAck)+len(a1.PreNack)+len(a1.AMTRoot))
+		x.ackAuth = packet.Retain(&block, a1.Auth)
 		x.ackKeyIdx = a1.KeyIdx
-		x.preAck = a1.PreAck
-		x.preNack = a1.PreNack
-		x.amtRoot = a1.AMTRoot
+		x.preAck = packet.Retain(&block, a1.PreAck)
+		x.preNack = packet.Retain(&block, a1.PreNack)
+		x.amtRoot = packet.Retain(&block, a1.AMTRoot)
 		x.amtLeaves = int(a1.AMTLeaves)
 	}
 	return r.forward(hdr)
@@ -764,7 +779,7 @@ func (r *Relay) processS2(hdr packet.Header, s2 *packet.S2) Decision {
 	valid := false
 	switch x.mode {
 	case packet.ModeBase, packet.ModeC:
-		want := x.macs[s2.MsgIndex]
+		want := packet.Digest(x.macs, int(s2.MsgIndex), f.st.Size())
 		f.macIn = core.AppendMACInput(f.macIn[:0], hdr.Assoc, hdr.Seq, s2.MsgIndex, s2.Payload)
 		f.parts[0] = f.macIn
 		f.macOut = f.st.MACInto(f.macOut[:0], s2.Key, f.parts[:1]...)
@@ -774,8 +789,10 @@ func (r *Relay) processS2(hdr packet.Header, s2 *packet.S2) Decision {
 			merkle.Verify(f.st, s2.Key, x.root, core.MerkleLeafInput(s2.Payload), int(s2.MsgIndex), x.leafCount, s2.Proof)
 	case packet.ModeCM:
 		if int(s2.LeafCount) == x.leafCount {
-			if root, leaf, leaves, ok := core.CMLocate(int(s2.MsgIndex), x.leafCount, len(x.roots)); ok && root < len(x.roots) {
-				valid = merkle.Verify(f.st, s2.Key, x.roots[root], core.MerkleLeafInput(s2.Payload), leaf, leaves, s2.Proof)
+			h := f.st.Size()
+			k := len(x.roots) / h
+			if root, leaf, leaves, ok := core.CMLocate(int(s2.MsgIndex), x.leafCount, k); ok && root < k {
+				valid = merkle.Verify(f.st, s2.Key, packet.Digest(x.roots, root, h), core.MerkleLeafInput(s2.Payload), leaf, leaves, s2.Proof)
 			}
 		}
 	}
@@ -848,8 +865,8 @@ func (r *Relay) processA2(hdr packet.Header, a2 *packet.A2) Decision {
 			}
 		}
 	case x.amtRoot != nil:
-		o := &merkle.Opening{Index: a2.MsgIndex, Ack: a2.Ack, Secret: a2.Secret, Proof: a2.Proof, Other: a2.Other}
-		valid = merkle.VerifyOpening(f.st, a2.Key, x.amtRoot, x.amtLeaves, o)
+		o := merkle.Opening{Index: a2.MsgIndex, Ack: a2.Ack, Secret: a2.Secret, Proof: a2.Proof, Other: a2.Other}
+		valid = merkle.VerifyOpening(f.st, a2.Key, x.amtRoot, x.amtLeaves, &o)
 	}
 	if !valid {
 		return r.drop(hdr, telemetry.ReasonBadAck, core.ErrBadAck)

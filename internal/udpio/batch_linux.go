@@ -38,6 +38,14 @@ type addrKey struct {
 // reset only costs future lookups one allocation each).
 const addrCacheLimit = 1 << 16
 
+// Destination-encoding failures, hoisted so the write hot path returns
+// them without allocating.
+var (
+	errNonUDPDest = errors.New("udpio: non-UDP destination address")
+	errBadDestIP  = errors.New("udpio: invalid destination IP")
+	errV6OnV4     = errors.New("udpio: IPv6 destination on an IPv4 socket")
+)
+
 // batchConn implements Conn with recvmmsg/sendmmsg. All per-call scratch —
 // header and iovec arrays, sockaddr slots, the callback closures handed to
 // RawConn — is preallocated, so warm ReadBatch/WriteBatch calls perform
@@ -49,7 +57,10 @@ type batchConn struct {
 	v6 bool // socket family: encode destinations as AF_INET6
 
 	// Read side, guarded by rmu. rn/rgot/rerrno carry the in-flight call's
-	// state so readFn (created once) captures nothing per call.
+	// state so readFn (created once) captures nothing per call. rerrno and
+	// werrno hold the syscall errno already boxed as an error (boxed once
+	// in the callback, on failure only), so returning them from the hot
+	// read/write paths converts nothing.
 	rmu    sync.Mutex
 	rhdrs  []mmsghdr
 	riovs  []syscall.Iovec
@@ -57,17 +68,17 @@ type batchConn struct {
 	addrs  map[addrKey]*net.UDPAddr
 	rn     int
 	rgot   int
-	rerrno syscall.Errno
+	rerrno error
 	readFn func(fd uintptr) bool
 
 	// Write side, guarded by wmu; same single-closure discipline.
-	wmu    sync.Mutex
-	whdrs  []mmsghdr
-	wiovs  []syscall.Iovec
-	wnames []syscall.RawSockaddrInet6
-	wn     int
-	wgot   int
-	werrno syscall.Errno
+	wmu     sync.Mutex
+	whdrs   []mmsghdr
+	wiovs   []syscall.Iovec
+	wnames  []syscall.RawSockaddrInet6
+	wn      int
+	wgot    int
+	werrno  error
 	writeFn func(fd uintptr) bool
 }
 
@@ -138,11 +149,11 @@ func (c *batchConn) ReadBatch(ms []Message) (int, error) {
 		h.Iovlen = 1
 		c.rhdrs[i].n = 0
 	}
-	c.rn, c.rgot, c.rerrno = n, 0, 0
+	c.rn, c.rgot, c.rerrno = n, 0, nil
 	if err := c.rc.Read(c.readFn); err != nil {
 		return 0, err
 	}
-	if c.rerrno != 0 {
+	if c.rerrno != nil {
 		return 0, c.rerrno
 	}
 	got := c.rgot
@@ -178,6 +189,12 @@ func (c *batchConn) sourceAddr(sa *syscall.RawSockaddrInet6) net.Addr {
 	if a, ok := c.addrs[key]; ok {
 		return a
 	}
+	return c.internAddr(key, v4) //alpha:alloc-ok cache miss: one allocation per new peer address, then served from c.addrs
+}
+
+// internAddr is sourceAddr's cold path: it materializes a *net.UDPAddr for
+// a peer the cache has not seen (or has flushed) and remembers it.
+func (c *batchConn) internAddr(key addrKey, v4 bool) net.Addr {
 	if len(c.addrs) >= addrCacheLimit {
 		clear(c.addrs)
 	}
@@ -240,17 +257,17 @@ func (c *batchConn) WriteBatch(ms []Message) (int, error) {
 			h.Iovlen = 1
 			c.whdrs[i].n = 0
 		}
-		c.wn, c.wgot, c.werrno = n, 0, 0
+		c.wn, c.wgot, c.werrno = n, 0, nil
 		if err := c.rc.Write(c.writeFn); err != nil {
 			return sent, err
 		}
-		if c.werrno != 0 {
+		if c.werrno != nil {
 			return sent, c.werrno
 		}
 		if c.wgot == 0 {
 			// sendmmsg reported readiness but accepted nothing; bail out
 			// rather than livelock.
-			return sent, errors.New("udpio: sendmmsg made no progress")
+			return sent, errNoProgress
 		}
 		c.m.NoteWrite(c.wgot)
 		sent += c.wgot
@@ -264,7 +281,7 @@ func (c *batchConn) WriteBatch(ms []Message) (int, error) {
 func (c *batchConn) destAddr(addr net.Addr, out *syscall.RawSockaddrInet6) (uint32, error) {
 	ua, ok := addr.(*net.UDPAddr)
 	if !ok {
-		return 0, errors.New("udpio: non-UDP destination address")
+		return 0, errNonUDPDest
 	}
 	ip4 := ua.IP.To4()
 	if c.v6 {
@@ -276,14 +293,14 @@ func (c *batchConn) destAddr(addr net.Addr, out *syscall.RawSockaddrInet6) (uint
 		case len(ua.IP) == net.IPv6len:
 			copy(out.Addr[:], ua.IP)
 		default:
-			return 0, errors.New("udpio: invalid destination IP")
+			return 0, errBadDestIP
 		}
 		p := (*[2]byte)(unsafe.Pointer(&out.Port))
 		p[0], p[1] = byte(ua.Port>>8), byte(ua.Port)
 		return syscall.SizeofSockaddrInet6, nil
 	}
 	if ip4 == nil {
-		return 0, errors.New("udpio: IPv6 destination on an IPv4 socket")
+		return 0, errV6OnV4
 	}
 	out4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(out))
 	*out4 = syscall.RawSockaddrInet4{Family: syscall.AF_INET}

@@ -377,7 +377,7 @@ func (c *offloadConn) sendBurst(ms []Message) (int, error) {
 		}
 	}
 
-	c.wn, c.wgot, c.werrno = nh, 0, 0
+	c.wn, c.wgot, c.werrno = nh, 0, nil
 	fn := c.writeFn
 	if zc {
 		fn = c.zcWriteFn
@@ -395,14 +395,14 @@ func (c *offloadConn) sendBurst(ms []Message) (int, error) {
 			atomic.StoreUint32(&c.zcOn, 0)
 		}
 		zc = false
-		c.wgot, c.werrno = 0, 0
+		c.wgot, c.werrno = 0, nil
 		if err := c.rc.Write(c.writeFn); err != nil {
 			return 0, err
 		}
 	} else if zc {
 		c.zcENOBUFS = 0
 	}
-	if c.werrno != 0 {
+	if c.werrno != nil {
 		if anyGSO && (c.werrno == syscall.EINVAL || c.werrno == syscall.EIO ||
 			c.werrno == syscall.EOPNOTSUPP || c.werrno == syscall.EMSGSIZE) {
 			atomic.StoreUint32(&c.gsoOn, 0)
@@ -503,11 +503,11 @@ func (c *offloadConn) fillPend() error {
 		h.Flags = 0
 		c.rhdrs[i].n = 0
 	}
-	c.rn, c.rgot, c.rerrno = n, 0, 0
+	c.rn, c.rgot, c.rerrno = n, 0, nil
 	if err := c.rc.Read(c.readFn); err != nil {
 		return err
 	}
-	if c.rerrno != 0 {
+	if c.rerrno != nil {
 		return c.rerrno
 	}
 	got := c.rgot

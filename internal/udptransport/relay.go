@@ -38,7 +38,9 @@ type Relay struct {
 	stampIP   []byte
 	stampPort int
 
-	// OnDecision, if set, observes every verdict.
+	// OnDecision, if set, observes every verdict. It runs on the read loop
+	// before the datagram's buffer is reused; d.Extracted aliases that
+	// buffer, so a callback that keeps it must copy it.
 	OnDecision func(d relay.Decision)
 
 	tel telemetry.RelayTransportMetrics

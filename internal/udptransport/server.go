@@ -35,11 +35,11 @@
 //
 // The read loops are batched: each drains up to a full burst of datagrams
 // from its socket in one recvmmsg into a slab of pooled buffers before
-// demuxing. Buffers are recycled once the engine has consumed them —
-// packet.Decode copies every field it returns, so a buffer is dead the
-// moment Handle returns. Session replies leave through a coalescing
-// writer: everything a Poll produces (the S2s of a burst plus its S1) goes
-// out in one sendmmsg.
+// demuxing. Buffers are recycled once the engine has consumed them: the
+// decoded fields alias the datagram, but Handle copies whatever it keeps
+// before returning, so a buffer is dead the moment Handle returns. Session
+// replies leave through a coalescing writer: everything a Poll produces
+// (the S2s of a burst plus its S1) goes out in one sendmmsg.
 
 package udptransport
 
