@@ -32,7 +32,6 @@ import (
 	"alpha/internal/relay"
 	"alpha/internal/suite"
 	"alpha/internal/telemetry"
-	"alpha/internal/udpio"
 	"alpha/internal/udptransport"
 )
 
@@ -137,9 +136,7 @@ func main() {
 		anchorsF  = flag.String("anchors", "", "anchor set (JSON) to seed a relay with (relay role)")
 		metrics   = flag.String("metrics-addr", "", "serve /metrics (Prometheus; ?format=json) and /trace on this HTTP address")
 		traceLen  = flag.Int("trace-size", 4096, "packet-trace ring size (most recent events kept)")
-		ioBatch   = flag.Int("io-batch", 0, "datagrams per recvmmsg/sendmmsg syscall (0 = default; 1 effectively disables batching)")
-		gso       = flag.Bool("gso", false, "UDP segmentation offload: pack same-size send runs with UDP_SEGMENT and split UDP_GRO coalesced receives (Linux >= 4.18/5.0; downgrades to the batched engine elsewhere)")
-		zerocopy  = flag.Bool("zerocopy", false, "opt sends into MSG_ZEROCOPY with errqueue completion reaping (downgrades itself on unsupported kernels and loopback)")
+		ioBatch   = flag.Int("io-batch", 0, "datagrams per recvmmsg/sendmmsg syscall (0 = default; 1 effectively disables batching). Linux sockets use UDP GSO/GRO segmentation offload where the kernel grants it and the batched engine otherwise")
 		reuse     = flag.Int("reuseport", 0, "serve role: SO_REUSEPORT read loops sharing the port (0 = single socket; capped at GOMAXPROCS; Linux only)")
 		adaptOn   = flag.Bool("adaptive", false, "run the closed-loop mode/batch controller on each association (overrides -mode/-batch at runtime)")
 		chainLow  = flag.Float64("chain-low", 0, "chain fraction below which ChainLow/auto-rekey fires, in (0, 1) (0 = default)")
@@ -266,13 +263,13 @@ func main() {
 		_ = exp.WriteText(os.Stdout)
 	}
 
-	ioOpts := udptransport.IOOptions{Batch: *ioBatch, GSO: *gso, ZeroCopy: *zerocopy, Prefilter: *prefilter}
+	ioOpts := udptransport.IOOptions{Batch: *ioBatch, Prefilter: *prefilter}
 
 	// One warning, then keep going on the best engine the kernel grants —
 	// an unsupported kernel must never be fatal (fail-fast is for flag
 	// typos, not hardware variance).
-	warnOffload := func(st udpio.OffloadStatus) {
-		if w := ioOpts.DowngradeWarning(st); w != "" {
+	warnOffload := func(w string) {
+		if w != "" {
 			fmt.Fprintln(os.Stderr, "warning: "+w)
 			rec.Trigger(0, obs.CauseOffloadDowngrade)
 		}
@@ -300,7 +297,7 @@ func main() {
 		fatalIf(err)
 		fmt.Printf("preconfigured association %016x ready (no handshake)\n", ep.Assoc())
 		c := udptransport.WrapOpts(pc, ep, peer, ioOpts)
-		warnOffload(c.OffloadStatus())
+		warnOffload(c.DowngradeWarning())
 		return c
 	}
 
@@ -333,7 +330,7 @@ func main() {
 		}
 		defer srv.Close()
 		srv.SetFlightRecorder(rec)
-		warnOffload(srv.OffloadStatus())
+		warnOffload(srv.DowngradeWarning())
 		exp.Register("alpha_transport", srv.Telemetry())
 		// Endpoint metrics aggregate across sessions at scrape time.
 		exp.Register("alpha_endpoint", telemetry.WalkerFunc(func(v telemetry.Visitor) {
@@ -382,10 +379,11 @@ func main() {
 			var err error
 			conn, err = udptransport.ListenOpts(pc, cfg, *wait, ioOpts)
 			fatalIf(err)
-			warnOffload(conn.OffloadStatus())
+			warnOffload(conn.DowngradeWarning())
 		}
 		defer conn.Close()
 		exp.Register("alpha_endpoint", conn.Endpoint().Telemetry())
+		exp.Register("alpha_conn", conn.IOTelemetry())
 		if *adaptOn {
 			conn.EnableAdaptive(adaptCfg)
 		}
@@ -444,10 +442,11 @@ func main() {
 		} else {
 			conn, err = udptransport.DialOpts(pc, peerAddr, cfg, 10*time.Second, ioOpts)
 			fatalIf(err)
-			warnOffload(conn.OffloadStatus())
+			warnOffload(conn.DowngradeWarning())
 		}
 		defer conn.Close()
 		exp.Register("alpha_endpoint", conn.Endpoint().Telemetry())
+		exp.Register("alpha_conn", conn.IOTelemetry())
 		if *adaptOn {
 			conn.EnableAdaptive(adaptCfg)
 		}
@@ -497,7 +496,7 @@ func main() {
 		if *s1Rate > 0 {
 			fmt.Printf("rate limiting unsolicited S1s to %.3g/s (burst %.3g) per upstream\n", *s1Rate, *s1Burst)
 		}
-		warnOffload(r.OffloadStatus())
+		warnOffload(r.DowngradeWarning())
 		exp.Register("alpha_relay", r.Telemetry())
 		exp.Register("alpha_relay_transport", r.TransportTelemetry())
 		if *anchorsF != "" {

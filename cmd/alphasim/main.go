@@ -29,7 +29,6 @@ import (
 	"alpha/internal/stats"
 	"alpha/internal/suite"
 	"alpha/internal/telemetry"
-	"alpha/internal/udpio"
 	"alpha/internal/workload"
 )
 
@@ -53,8 +52,6 @@ func main() {
 		duration  = flag.Duration("duration", 60*time.Second, "max simulated time")
 		adaptOn   = flag.Bool("adaptive", false, "attach the closed-loop mode/batch controller to the signer (-mode/-batch become the starting profile)")
 		lossShift = flag.Duration("loss-shift", 0, "shifting-loss scenario (line topology): hops run clean for this long, take -loss for an equal phase, then recover")
-		gso       = flag.Bool("gso", false, "project the simulated traffic onto the UDP GSO/GRO I/O engine (syscalls and kernel traversals per burst; the simulator itself has no sockets)")
-		zerocopy  = flag.Bool("zerocopy", false, "include the MSG_ZEROCOPY send path in the I/O engine projection")
 		flightLen = flag.Int("flight-size", 8192, "per-hop span ring size for the exchange-timeline report (0 disables span capture)")
 		otlpEP    = flag.String("otlp-endpoint", "", "push the final metrics snapshot and captured spans to this OTLP/HTTP collector (requires a build with -tags alpha_otlp)")
 	)
@@ -300,40 +297,6 @@ func main() {
 		rt.Add(rn.Name, st.Forwarded, st.Dropped, st.Unsolicited, st.BadPayload, st.BadElement, st.RateLimited, stats.Bytes(int64(st.ExtractedBytes)))
 	}
 	fmt.Print(rt)
-
-	// The simulator drives the engine sans-IO — no sockets — so -gso and
-	// -zerocopy cannot change its behaviour. What they can do is project
-	// the simulated burst structure onto the real udpio engine tiers:
-	// what one ALPHA burst of this shape costs in send syscalls and kernel
-	// UDP-stack traversals under each engine (see BENCH_gso.json for the
-	// measured loopback equivalents).
-	if *gso || *zerocopy {
-		burst := 2 // base mode: one S1 + one S2 per message
-		if cfg.Mode == packet.ModeC || cfg.Mode == packet.ModeM {
-			burst = cfg.BatchSize + 1
-		}
-		s2Run := burst - 1
-		gsoHdrs := 1 + (s2Run+udpio.DefaultBatch-1)/udpio.DefaultBatch // S1 + packed S2 run(s)
-		pt := &stats.Table{Title: "I/O engine projection (per ALPHA burst)", Headers: []string{"Engine", "send syscalls", "kernel traversals"}}
-		pt.Add("portable", burst, burst)
-		pt.Add("batched (sendmmsg)", 1, burst)
-		if *gso {
-			pt.Add("gso (UDP_SEGMENT)", 1, gsoHdrs)
-		}
-		fmt.Println()
-		fmt.Print(pt)
-		if *gso {
-			fmt.Println("assumes equal-size S2s (fixed -size payloads); ragged runs fall back per run to plain sendmmsg")
-		}
-		if *zerocopy {
-			bb := s2Run * *size
-			if bb >= 4096 {
-				fmt.Printf("zerocopy: burst payload ~%d B clears the 4096 B MSG_ZEROCOPY threshold; page pinning replaces the kernel copy\n", bb)
-			} else {
-				fmt.Printf("zerocopy: burst payload ~%d B is under the 4096 B MSG_ZEROCOPY threshold; the engine would keep copying\n", bb)
-			}
-		}
-	}
 
 	// Full telemetry snapshot: the same metric namespace a live alphanode
 	// serves on /metrics, here taken programmatically at exit.

@@ -388,13 +388,17 @@ type IOMetrics struct {
 	WriteBatches     Counter
 	DatagramsRead    Counter
 	DatagramsWritten Counter
+	// DatagramsUnsent counts datagrams a WriteBatch handed back unsent
+	// because the socket refused the write (ECONNREFUSED, EMSGSIZE, a
+	// closed socket): a reply or forward the caller believed it sent.
+	DatagramsUnsent Counter
 
 	// ReadBatchSize / WriteBatchSize bucket datagrams-per-operation — the
 	// live evidence behind tuning -io-batch.
 	ReadBatchSize  Histogram
 	WriteBatchSize Histogram
 
-	// Offload-tier accounting (the GSO/GRO/zero-copy engine). A GSO send is
+	// Offload-tier accounting (the GSO/GRO engine). A GSO send is
 	// one sendmmsg header whose UDP_SEGMENT cmsg packs a run of equal-size
 	// datagrams into a single kernel UDP traversal; a GRO split is one
 	// coalesced inbound datagram recovered into its segments. Segments minus
@@ -405,15 +409,6 @@ type IOMetrics struct {
 	GSOSegments Counter // datagrams packed inside those GSO sends
 	GROSplits   Counter // coalesced inbound datagrams that were split
 	GROSegments Counter // datagrams recovered from coalesced reads
-
-	// Zero-copy send accounting: sends flagged MSG_ZEROCOPY, errqueue
-	// completions reaped (Copied counts completions where the kernel fell
-	// back to copying, e.g. loopback), and downgrades to the plain send
-	// path (ENOBUFS, slot exhaustion, persistent copy fallback).
-	ZeroCopySends       Counter
-	ZeroCopyCompletions Counter
-	ZeroCopyCopied      Counter
-	ZeroCopyDowngrades  Counter
 
 	// GSOSegsPerSend / GROSegsPerRead bucket segments-per-offload-operation,
 	// the live evidence that runs actually coalesce.
@@ -444,6 +439,9 @@ func (m *IOMetrics) NoteWrite(n int) {
 	m.WriteBatchSize.Observe(int64(n))
 }
 
+// NoteUnsent records n datagrams a write operation returned unsent.
+func (m *IOMetrics) NoteUnsent(n int) { m.DatagramsUnsent.Add(uint64(n)) }
+
 // NoteGSOWrite records one UDP_SEGMENT-tagged send header that packed segs
 // datagrams into a single kernel traversal.
 func (m *IOMetrics) NoteGSOWrite(segs int) {
@@ -460,22 +458,6 @@ func (m *IOMetrics) NoteGRORead(segs int) {
 	m.GROSegsPerRead.Observe(int64(segs))
 }
 
-// NoteZeroCopySend records one sendmmsg header flagged MSG_ZEROCOPY.
-func (m *IOMetrics) NoteZeroCopySend() { m.ZeroCopySends.Inc() }
-
-// NoteZeroCopyCompletion records one errqueue completion notification;
-// copied marks completions where the kernel fell back to copying the pages.
-func (m *IOMetrics) NoteZeroCopyCompletion(copied bool) {
-	m.ZeroCopyCompletions.Inc()
-	if copied {
-		m.ZeroCopyCopied.Inc()
-	}
-}
-
-// NoteZeroCopyDowngrade records one fall-back from the zero-copy send path
-// to the plain (copying) path.
-func (m *IOMetrics) NoteZeroCopyDowngrade() { m.ZeroCopyDowngrades.Inc() }
-
 // Walk reports every metric to v, including the derived syscalls-saved and
 // traversals-saved pairs.
 func (m *IOMetrics) Walk(v Visitor) {
@@ -485,6 +467,7 @@ func (m *IOMetrics) Walk(v Visitor) {
 	v.Counter("io_write_batches", wb)
 	v.Counter("io_datagrams_read", dr)
 	v.Counter("io_datagrams_written", dw)
+	v.Counter("io_datagrams_unsent", m.DatagramsUnsent.Load())
 	var savedR, savedW uint64
 	if dr > rb {
 		savedR = dr - rb
@@ -512,10 +495,6 @@ func (m *IOMetrics) Walk(v Visitor) {
 	}
 	v.Counter("io_send_traversals_saved", savedTx)
 	v.Counter("io_recv_traversals_saved", savedRx)
-	v.Counter("io_zerocopy_sends", m.ZeroCopySends.Load())
-	v.Counter("io_zerocopy_completions", m.ZeroCopyCompletions.Load())
-	v.Counter("io_zerocopy_copied", m.ZeroCopyCopied.Load())
-	v.Counter("io_zerocopy_downgrades", m.ZeroCopyDowngrades.Load())
 	v.Histogram("io_gso_segs_per_send", m.GSOSegsPerSend.Snapshot())
 	v.Histogram("io_gro_segs_per_read", m.GROSegsPerRead.Snapshot())
 }

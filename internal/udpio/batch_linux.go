@@ -44,6 +44,7 @@ var (
 	errNonUDPDest = errors.New("udpio: non-UDP destination address")
 	errBadDestIP  = errors.New("udpio: invalid destination IP")
 	errV6OnV4     = errors.New("udpio: IPv6 destination on an IPv4 socket")
+	errNoProgress = errors.New("udpio: sendmmsg made no progress")
 )
 
 // batchConn implements Conn with recvmmsg/sendmmsg. All per-call scratch —
@@ -226,12 +227,24 @@ func (c *batchConn) sendmmsg(fd uintptr) bool {
 	return true
 }
 
-// WriteBatch pushes the messages out in sendmmsg bursts.
+// WriteBatch pushes the messages out in sendmmsg bursts, counting whatever
+// an error leaves unsent.
 //
 //alpha:hotpath
 func (c *batchConn) WriteBatch(ms []Message) (int, error) {
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
+	sent, err := c.writeLocked(ms)
+	c.wmu.Unlock()
+	if err != nil {
+		c.m.NoteUnsent(len(ms) - sent)
+	}
+	return sent, err
+}
+
+// writeLocked is WriteBatch's body. Caller holds wmu.
+//
+//alpha:hotpath
+func (c *batchConn) writeLocked(ms []Message) (int, error) {
 	sent := 0
 	for sent < len(ms) {
 		n := len(ms) - sent

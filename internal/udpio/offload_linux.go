@@ -1,24 +1,20 @@
 //go:build linux && (amd64 || arm64)
 
-// The segmentation-offload engine tier: UDP GSO sends (one kernel traversal
-// per same-size run), UDP GRO receives (split coalesced datagrams back into
-// segments), and an opt-in MSG_ZEROCOPY send path with an errqueue
-// completion reaper. Everything is probed per feature at socket setup and
-// self-disables at runtime when the kernel pushes back, so the tier only
-// ever narrows toward the plain batched engine it embeds.
+// The segmentation-offload engine, Wrap's default on Linux: UDP GSO sends
+// (one kernel traversal per same-size run) and UDP GRO receives (coalesced
+// datagrams split back into segments). Both are probed at socket setup; a
+// kernel that refuses either keeps the plain batched engine, and a GSO send
+// the path rejects at runtime turns GSO off for good, so the engine only
+// ever narrows toward the batched engine it embeds.
 
 package udpio
 
 import (
 	"errors"
 	"net"
-	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 	"unsafe"
-
-	"alpha/internal/telemetry"
 )
 
 // Linux UAPI numbers the syscall package predates. All frozen ABI.
@@ -26,18 +22,6 @@ const (
 	solUDP     = 17  // SOL_UDP
 	udpSegment = 103 // UDP_SEGMENT: cmsg carries the uint16 segment size
 	udpGRO     = 104 // UDP_GRO: setsockopt enables coalesced delivery
-	soZeroCopy = 60  // SO_ZEROCOPY at SOL_SOCKET
-
-	msgZeroCopy = 0x4000000 // MSG_ZEROCOPY send flag
-	msgErrqueue = 0x2000    // MSG_ERRQUEUE recv flag
-
-	solIP       = 0  // SOL_IP: errqueue cmsg level on IPv4 sockets
-	ipRecvErr   = 11 // IP_RECVERR cmsg type
-	solIPv6     = 41 // SOL_IPV6
-	ipv6RecvErr = 25 // IPV6_RECVERR
-
-	soEEOriginZerocopy     = 5 // sock_extended_err.ee_origin
-	soEECodeZerocopyCopied = 1 // ee_code: the kernel copied after all
 )
 
 // GSO packing limits: the kernel refuses more than 64 segments per send,
@@ -55,37 +39,10 @@ const cmsgSpace = 24
 // datagram is one full UDP payload.
 const groSlot = 64 << 10
 
-// Zero-copy send tuning. The slab ring bounds in-flight completions; below
-// zcMinBytes page pinning costs more than the copy it avoids.
-const (
-	zcSlots      = 16
-	zcSlotSize   = 64 << 10
-	zcMinBytes   = 4096
-	zcMaxENOBUFS = 3 // consecutive ENOBUFS before the path disables itself
-	zcMaxCopied  = 8 // consecutive copied completions before giving up
-)
-
-var (
-	errOffloadUnsupported = errors.New("udpio: no requested offload feature supported")
-	errNoProgress         = errors.New("udpio: sendmmsg made no progress")
-	// errGSOFallback is internal: GSO sends were rejected at runtime, the
-	// burst was not transmitted, and the caller must re-send through the
-	// plain batched path.
-	errGSOFallback = errors.New("udpio: gso rejected, falling back")
-)
-
-// sockExtendedErr mirrors struct sock_extended_err from <linux/errqueue.h>;
-// zero-copy completions carry ee_origin SO_EE_ORIGIN_ZEROCOPY and the
-// completed id range in [ee_info, ee_data].
-type sockExtendedErr struct {
-	Errno  uint32
-	Origin uint8
-	Type   uint8
-	Code   uint8
-	Pad    uint8
-	Info   uint32
-	Data   uint32
-}
+// errGSOFallback is internal: GSO sends were rejected at runtime, the burst
+// was not transmitted, and the caller must re-send through the plain batched
+// path.
+var errGSOFallback = errors.New("udpio: gso rejected, falling back")
 
 // groPend is one received (possibly coalesced) datagram waiting in the
 // receive slab to be handed out segment by segment.
@@ -95,13 +52,11 @@ type groPend struct {
 	addr     net.Addr
 }
 
-// offloadConn layers GSO/GRO/zero-copy over the batched engine it embeds,
-// reusing its header/iovec/sockaddr scratch, its locks, and its address
-// intern cache. Features degrade independently: a runtime rejection turns
-// just that feature off and the rest keep running.
+// offloadConn layers GSO and GRO over the batched engine it embeds, reusing
+// its header/iovec/sockaddr scratch, its locks, and its address intern
+// cache.
 type offloadConn struct {
 	*batchConn
-	st OffloadStatus
 
 	// GSO send state (wmu). gsoOn is atomic so a runtime EINVAL can turn
 	// the feature off without widening the lock.
@@ -111,130 +66,51 @@ type offloadConn struct {
 
 	// GRO receive state (rmu): a small slab of full-payload slots the
 	// kernel fills, split lazily into caller buffers.
-	gro       bool
 	groN      int
 	rslab     []byte
 	gctrl     []byte
 	rpends    []groPend
 	rpendHead int
 	rpendN    int
-
-	// Zero-copy send state. Ids are sequential per socket: issued under
-	// wmu, completed by the reaper; slot index is id mod zcSlots, so
-	// capacity gating on issued-completed keeps slot reuse safe.
-	zcOn        uint32 // atomic
-	zcIssued    uint32 // atomic (written under wmu)
-	zcCompleted uint32 // atomic (written by the reaper)
-	zcCopiedRun uint32 // atomic: consecutive copied completions
-	zcENOBUFS   int    // under wmu
-	zcSlab      []byte
-	zcWriteFn   func(fd uintptr) bool
-	zcKick      chan struct{}
-	zcDone      chan struct{}
-	zcPad       [64]byte
-	zcOOB       [256]byte
-	closeOnce   sync.Once
 }
 
-// newOffloadConn builds the offload tier over uc, probing each requested
-// feature with a setsockopt and keeping whatever sticks. It fails (so
-// WrapOffload can fall back to the batched engine) only when nothing was
-// granted or the socket is unusable.
-func newOffloadConn(uc *net.UDPConn, batch int, opts OffloadOptions, m *telemetry.IOMetrics) (Conn, OffloadStatus, error) {
-	bc, err := newBatchConn(uc, batch, m)
-	if err != nil {
-		return nil, OffloadStatus{}, err
-	}
-	var st OffloadStatus
-	cerr := bc.rc.Control(func(fd uintptr) {
-		if opts.GSO {
-			// Value 0 clears any socket-wide segment size (runs are tagged
-			// per send via cmsg); success proves kernel support (≥ 4.18).
-			st.GSO = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, 0) == nil
-		}
-		if opts.GRO {
-			st.GRO = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) == nil
-		}
-		if opts.ZeroCopy {
-			st.ZeroCopy = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soZeroCopy, 1) == nil
-		}
+// withOffload probes UDP_SEGMENT (Linux ≥ 4.18) and then UDP_GRO (≥ 5.0) on
+// bc's socket and returns the offload engine over bc when both stick, bc
+// itself otherwise. GRO is only switched on once GSO passed, so a refused
+// probe leaves the socket exactly as the batched engine expects it.
+func withOffload(bc *batchConn) Conn {
+	ok := false
+	err := bc.rc.Control(func(fd uintptr) {
+		// Value 0 clears any socket-wide segment size (runs are tagged per
+		// send via cmsg); success proves kernel support.
+		ok = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, 0) == nil &&
+			syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) == nil
 	})
-	if cerr != nil {
-		return nil, OffloadStatus{}, cerr
+	if err != nil || !ok {
+		return bc
 	}
-	if !st.GSO && !st.GRO && !st.ZeroCopy {
-		return nil, OffloadStatus{}, errOffloadUnsupported
+	n := min(max(len(bc.rhdrs)/8, 1), 8)
+	return &offloadConn{
+		batchConn: bc,
+		gsoOn:     1,
+		wctrl:     make([]byte, len(bc.whdrs)*cmsgSpace),
+		wruns:     make([]int, len(bc.whdrs)),
+		groN:      n,
+		rslab:     make([]byte, n*groSlot),
+		gctrl:     make([]byte, n*cmsgSpace),
+		rpends:    make([]groPend, n),
 	}
-	c := &offloadConn{batchConn: bc, st: st}
-	if st.GSO || st.ZeroCopy {
-		c.wruns = make([]int, len(bc.whdrs))
-	}
-	if st.GSO {
-		atomic.StoreUint32(&c.gsoOn, 1)
-		c.wctrl = make([]byte, len(bc.whdrs)*cmsgSpace)
-	}
-	if st.GRO {
-		c.gro = true
-		n := batch / 8
-		if n < 1 {
-			n = 1
-		}
-		if n > 8 {
-			n = 8
-		}
-		c.groN = n
-		c.rslab = make([]byte, n*groSlot)
-		c.gctrl = make([]byte, n*cmsgSpace)
-		c.rpends = make([]groPend, n)
-	}
-	if st.ZeroCopy {
-		atomic.StoreUint32(&c.zcOn, 1)
-		c.zcSlab = make([]byte, zcSlots*zcSlotSize)
-		c.zcWriteFn = c.zcSendmmsg
-		c.zcKick = make(chan struct{}, 1)
-		c.zcDone = make(chan struct{})
-		go c.reapLoop()
-	}
-	return c, st, nil
 }
 
-// Offload reports the feature set granted at setup (runtime self-disables
-// are not reflected here; they only narrow behavior, not capability).
-func (c *offloadConn) Offload() OffloadStatus { return c.st }
+// offloaded marks the engine for Offloaded.
+func (c *offloadConn) offloaded() {}
 
-// Close stops the zero-copy completion reaper. The underlying socket stays
-// open — the engine never owns it.
-func (c *offloadConn) Close() error {
-	c.closeOnce.Do(func() {
-		if c.zcDone != nil {
-			close(c.zcDone)
-		}
-	})
-	return nil
-}
-
-// zcSendmmsg is the MSG_ZEROCOPY variant of the sendmmsg RawConn callback.
-func (c *offloadConn) zcSendmmsg(fd uintptr) bool {
-	r, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-		uintptr(unsafe.Pointer(&c.whdrs[0])), uintptr(c.wn),
-		syscall.MSG_DONTWAIT|msgZeroCopy, 0, 0)
-	switch errno {
-	case 0:
-		c.wgot = int(r)
-	case syscall.EAGAIN, syscall.EINTR:
-		return false
-	default:
-		c.werrno = errno
-	}
-	return true
-}
-
-// WriteBatch sends ms through the offload path while GSO or zero-copy is
-// live, and otherwise delegates straight to the batched engine.
+// WriteBatch sends ms through the GSO path while it is live, and otherwise
+// delegates straight to the batched engine.
 //
 //alpha:hotpath
 func (c *offloadConn) WriteBatch(ms []Message) (int, error) {
-	if atomic.LoadUint32(&c.gsoOn) == 0 && atomic.LoadUint32(&c.zcOn) == 0 {
+	if atomic.LoadUint32(&c.gsoOn) == 0 {
 		return c.batchConn.WriteBatch(ms)
 	}
 	c.wmu.Lock()
@@ -252,6 +128,7 @@ func (c *offloadConn) WriteBatch(ms []Message) (int, error) {
 		}
 		if err != nil {
 			c.wmu.Unlock()
+			c.m.NoteUnsent(len(ms) - sent)
 			return sent, err
 		}
 	}
@@ -261,20 +138,18 @@ func (c *offloadConn) WriteBatch(ms []Message) (int, error) {
 
 // sendBurst packs one sendmmsg burst from the front of ms — GSO runs of
 // same-destination, equal-size datagrams become single headers — and sends
-// it, optionally through the zero-copy slab ring. Returns datagrams
-// consumed. Caller holds wmu.
+// it. Returns datagrams consumed. Caller holds wmu.
 //
 //alpha:hotpath
 func (c *offloadConn) sendBurst(ms []Message) (int, error) {
-	gso := atomic.LoadUint32(&c.gsoOn) == 1
-	nh, iv, used, bytes := 0, 0, 0, 0
+	nh, iv, used := 0, 0, 0
 	anyGSO := false
 	for used < len(ms) && nh < len(c.whdrs) && iv < len(c.wiovs) {
 		// A run: consecutive messages to the same destination with equal
 		// size; one smaller tail segment may close it (kernel rule).
 		sz := ms[used].N
 		run := 1
-		if gso && sz > 0 && sz <= gsoMaxBytes {
+		if sz > 0 && sz <= gsoMaxBytes {
 			maxRun := len(c.wiovs) - iv
 			if maxRun > gsoMaxSegs {
 				maxRun = gsoMaxSegs
@@ -319,7 +194,6 @@ func (c *offloadConn) sendBurst(ms []Message) (int, error) {
 				c.wiovs[iv+k].Base = nil
 			}
 			c.wiovs[iv+k].SetLen(msg.N)
-			bytes += msg.N
 		}
 		if run > 1 {
 			ctrl := c.wctrl[nh*cmsgSpace : nh*cmsgSpace+cmsgSpace]
@@ -341,66 +215,9 @@ func (c *offloadConn) sendBurst(ms []Message) (int, error) {
 		return 0, nil
 	}
 
-	// Zero-copy pass: MSG_ZEROCOPY pins the pages until the completion
-	// arrives, but §5e promises callers their buffers back at return — so
-	// the payload moves into stable ring slots first. Worth it only for
-	// bursts big enough to beat the copy.
-	zc := false
-	if atomic.LoadUint32(&c.zcOn) == 1 && bytes >= zcMinBytes {
-		free := zcSlots - int(atomic.LoadUint32(&c.zcIssued)-atomic.LoadUint32(&c.zcCompleted))
-		if free >= nh {
-			zc = true
-			ivc := 0
-			for i := 0; i < nh; i++ {
-				slot := int(atomic.LoadUint32(&c.zcIssued)+uint32(i)) % zcSlots
-				dst := c.zcSlab[slot*zcSlotSize : slot*zcSlotSize+zcSlotSize]
-				n := 0
-				for k := 0; k < c.wruns[i]; k++ {
-					iov := &c.wiovs[ivc+k]
-					if iov.Base != nil {
-						n += copy(dst[n:], unsafe.Slice(iov.Base, int(iov.Len)))
-					}
-				}
-				h := &c.whdrs[i].hdr
-				if n > 0 {
-					c.wiovs[ivc].Base = &dst[0]
-				} else {
-					c.wiovs[ivc].Base = nil
-				}
-				c.wiovs[ivc].SetLen(n)
-				h.Iov = &c.wiovs[ivc]
-				h.Iovlen = 1
-				ivc += c.wruns[i]
-			}
-		} else {
-			c.m.NoteZeroCopyDowngrade()
-		}
-	}
-
 	c.wn, c.wgot, c.werrno = nh, 0, nil
-	fn := c.writeFn
-	if zc {
-		fn = c.zcWriteFn
-	}
-	if err := c.rc.Write(fn); err != nil {
+	if err := c.rc.Write(c.writeFn); err != nil {
 		return 0, err
-	}
-	if c.werrno == syscall.ENOBUFS && zc {
-		// Page-pinning budget exhausted. The slots already hold stable
-		// copies, so the same headers re-send plainly; repeated ENOBUFS
-		// disables the path for good.
-		c.m.NoteZeroCopyDowngrade()
-		c.zcENOBUFS++
-		if c.zcENOBUFS >= zcMaxENOBUFS {
-			atomic.StoreUint32(&c.zcOn, 0)
-		}
-		zc = false
-		c.wgot, c.werrno = 0, nil
-		if err := c.rc.Write(c.writeFn); err != nil {
-			return 0, err
-		}
-	} else if zc {
-		c.zcENOBUFS = 0
 	}
 	if c.werrno != nil {
 		if anyGSO && (c.werrno == syscall.EINVAL || c.werrno == syscall.EIO ||
@@ -422,28 +239,14 @@ func (c *offloadConn) sendBurst(ms []Message) (int, error) {
 		}
 	}
 	c.m.NoteWrite(dgrams)
-	if zc {
-		atomic.AddUint32(&c.zcIssued, uint32(got))
-		for i := 0; i < got; i++ {
-			c.m.NoteZeroCopySend()
-		}
-		select {
-		case c.zcKick <- struct{}{}:
-		default:
-		}
-	}
 	return dgrams, nil
 }
 
-// ReadBatch serves segments split out of coalesced datagrams while GRO is
-// live, refilling the receive slab with one recvmmsg when the pending
-// queue drains; without GRO it is the plain batched read.
+// ReadBatch serves segments split out of coalesced datagrams, refilling the
+// receive slab with one recvmmsg when the pending queue drains.
 //
 //alpha:hotpath
 func (c *offloadConn) ReadBatch(ms []Message) (int, error) {
-	if !c.gro {
-		return c.batchConn.ReadBatch(ms)
-	}
 	if len(ms) == 0 {
 		return 0, nil
 	}
@@ -546,99 +349,4 @@ func (c *offloadConn) groSegSize(i int) int {
 		return int(*(*int32)(unsafe.Pointer(&ctrl[syscall.CmsgLen(0)])))
 	}
 	return 0
-}
-
-// reapLoop drains MSG_ZEROCOPY completion notifications off the error
-// queue. It parks on zcKick between bursts and polls briefly while
-// completions are outstanding (notifications trail the send by the NIC's
-// actual transmit). Exits on Close or when the socket dies under it.
-func (c *offloadConn) reapLoop() {
-	for {
-		select {
-		case <-c.zcDone:
-			return
-		case <-c.zcKick:
-		}
-		for {
-			n, err := c.reap()
-			if err != nil {
-				return
-			}
-			if atomic.LoadUint32(&c.zcCompleted) >= atomic.LoadUint32(&c.zcIssued) {
-				break
-			}
-			if n == 0 {
-				select {
-				case <-c.zcDone:
-					return
-				case <-time.After(100 * time.Microsecond):
-				}
-			}
-		}
-	}
-}
-
-// reap drains the errqueue until EAGAIN, returning completions processed.
-func (c *offloadConn) reap() (int, error) {
-	reaped := 0
-	var rerr error
-	err := c.rc.Control(func(fd uintptr) {
-		for {
-			_, oobn, _, _, err := syscall.Recvmsg(int(fd), c.zcPad[:], c.zcOOB[:], msgErrqueue|syscall.MSG_DONTWAIT)
-			if err != nil {
-				if err != syscall.EAGAIN && err != syscall.EINTR {
-					rerr = err
-				}
-				return
-			}
-			reaped += c.parseCompletions(c.zcOOB[:oobn])
-		}
-	})
-	if err != nil {
-		return reaped, err
-	}
-	return reaped, rerr
-}
-
-// parseCompletions walks the raw cmsg block of one errqueue message and
-// credits every SO_EE_ORIGIN_ZEROCOPY id range back to the slab ring. A
-// run of completions the kernel had to copy anyway (ee_code COPIED —
-// loopback always does) disables the path: it is pure overhead there.
-func (c *offloadConn) parseCompletions(oob []byte) int {
-	done := 0
-	for len(oob) >= syscall.SizeofCmsghdr {
-		cm := (*syscall.Cmsghdr)(unsafe.Pointer(&oob[0]))
-		l := int(cm.Len)
-		if l < syscall.SizeofCmsghdr || l > len(oob) {
-			break
-		}
-		isErr := (cm.Level == solIP && cm.Type == ipRecvErr) ||
-			(cm.Level == solIPv6 && cm.Type == ipv6RecvErr)
-		if isErr && l >= syscall.CmsgLen(0)+int(unsafe.Sizeof(sockExtendedErr{})) {
-			ee := (*sockExtendedErr)(unsafe.Pointer(&oob[syscall.CmsgLen(0)]))
-			if ee.Origin == soEEOriginZerocopy && ee.Data >= ee.Info {
-				n := int(ee.Data - ee.Info + 1)
-				copied := ee.Code == soEECodeZerocopyCopied
-				atomic.AddUint32(&c.zcCompleted, uint32(n))
-				for i := 0; i < n; i++ {
-					c.m.NoteZeroCopyCompletion(copied)
-				}
-				if copied {
-					run := atomic.AddUint32(&c.zcCopiedRun, uint32(n))
-					if run >= zcMaxCopied && atomic.CompareAndSwapUint32(&c.zcOn, 1, 0) {
-						c.m.NoteZeroCopyDowngrade()
-					}
-				} else {
-					atomic.StoreUint32(&c.zcCopiedRun, 0)
-				}
-				done += n
-			}
-		}
-		adv := (l + 7) &^ 7 // CMSG_ALIGN on 64-bit
-		if adv <= 0 || adv > len(oob) {
-			break
-		}
-		oob = oob[adv:]
-	}
-	return done
 }

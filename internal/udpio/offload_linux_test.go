@@ -12,26 +12,15 @@ import (
 	"alpha/internal/telemetry"
 )
 
-// offloadPair builds a sender/receiver pair over loopback with the given
-// feature requests, skipping the test when the kernel grants nothing.
-func offloadPair(t *testing.T, sOpts, rOpts OffloadOptions, sm, rm *telemetry.IOMetrics) (Conn, Conn, *net.UDPConn, *net.UDPConn) {
+// offloadPair builds a sender/receiver pair of default engines over
+// loopback, skipping the test when the kernel refuses the offload probe.
+func offloadPair(t *testing.T, sm, rm *telemetry.IOMetrics) (Conn, Conn, *net.UDPConn, *net.UDPConn) {
 	t.Helper()
 	apc, bpc := listenUDP(t), listenUDP(t)
-	a, ast := WrapOffload(apc, 32, sOpts, sm)
-	b, bst := WrapOffload(bpc, 32, rOpts, rm)
-	if sOpts.GSO && !ast.GSO {
-		t.Skip("kernel lacks UDP_SEGMENT")
+	a, b := Wrap(apc, 32, sm), Wrap(bpc, 32, rm)
+	if !Offloaded(a) || !Offloaded(b) {
+		t.Skip("kernel lacks UDP_SEGMENT/UDP_GRO")
 	}
-	if rOpts.GRO && !bst.GRO {
-		t.Skip("kernel lacks UDP_GRO")
-	}
-	if sOpts.ZeroCopy && !ast.ZeroCopy {
-		t.Skip("kernel lacks SO_ZEROCOPY")
-	}
-	t.Cleanup(func() {
-		CloseEngine(a)
-		CloseEngine(b)
-	})
 	return a, b, apc, bpc
 }
 
@@ -59,9 +48,7 @@ func readAll(t *testing.T, c Conn, want int) []Message {
 // syscall and at most two kernel traversals.
 func TestOffloadGSORoundTrip(t *testing.T) {
 	var sm, rm telemetry.IOMetrics
-	a, b, _, bpc := offloadPair(t,
-		OffloadOptions{GSO: true}, OffloadOptions{GRO: true},
-		sm.Init(), rm.Init())
+	a, b, _, bpc := offloadPair(t, sm.Init(), rm.Init())
 
 	const s2s = 16
 	const s2len = 64
@@ -108,9 +95,7 @@ func TestOffloadGSORoundTrip(t *testing.T) {
 // (kernel rule), but a larger one must start a new header.
 func TestOffloadRaggedRun(t *testing.T) {
 	var sm, rm telemetry.IOMetrics
-	a, b, _, bpc := offloadPair(t,
-		OffloadOptions{GSO: true}, OffloadOptions{GRO: true},
-		sm.Init(), rm.Init())
+	a, b, _, bpc := offloadPair(t, sm.Init(), rm.Init())
 
 	sizes := []int{100, 100, 60, 200}
 	out := make([]Message, len(sizes))
@@ -144,56 +129,11 @@ func TestOffloadRaggedRun(t *testing.T) {
 	}
 }
 
-// TestOffloadZeroCopy pushes a large burst through the MSG_ZEROCOPY path
-// and checks delivery plus completion accounting. On loopback the kernel
-// copies anyway (COPIED completions), which must eventually downgrade the
-// path rather than break it.
-func TestOffloadZeroCopy(t *testing.T) {
-	var sm, rm telemetry.IOMetrics
-	a, b, _, bpc := offloadPair(t,
-		OffloadOptions{ZeroCopy: true}, OffloadOptions{},
-		sm.Init(), rm.Init())
-
-	const n = 8
-	const sz = 1200
-	out := make([]Message, n)
-	for i := range out {
-		p := make([]byte, sz)
-		for j := range p {
-			p[j] = byte(i)
-		}
-		out[i] = Message{Buf: p, N: sz, Addr: bpc.LocalAddr()}
-	}
-	bpc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if sent, err := a.WriteBatch(out); err != nil || sent != n {
-		t.Fatalf("WriteBatch = %d, %v", sent, err)
-	}
-	in := readAll(t, b, n)
-	for i := range out {
-		if in[i].N != sz || in[i].Buf[0] != byte(i) {
-			t.Fatalf("datagram %d corrupted", i)
-		}
-	}
-	if sm.ZeroCopySends.Load() == 0 {
-		t.Fatal("no sends took the zero-copy path")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for sm.ZeroCopyCompletions.Load() < sm.ZeroCopySends.Load() {
-		if time.Now().After(deadline) {
-			t.Fatalf("reaper stuck: %d completions for %d zero-copy sends",
-				sm.ZeroCopyCompletions.Load(), sm.ZeroCopySends.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestOffloadZeroAlloc is the hot-path acceptance check for the offload
 // tier: a warm GSO write / GRO read cycle must not allocate.
 func TestOffloadZeroAlloc(t *testing.T) {
 	var sm, rm telemetry.IOMetrics
-	a, b, _, bpc := offloadPair(t,
-		OffloadOptions{GSO: true}, OffloadOptions{GRO: true},
-		sm.Init(), rm.Init())
+	a, b, _, bpc := offloadPair(t, sm.Init(), rm.Init())
 	bpc.SetReadDeadline(time.Now().Add(10 * time.Second))
 
 	const n = 8
@@ -224,16 +164,18 @@ func TestOffloadZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestWrapOffloadDisabledByKernelFallsBack: the probe hook path — when the
-// engine grants nothing, WrapOffload must hand back the batched engine and
-// a zero status (the signal transports turn into one downgrade warning).
+// TestWrapOffloadStatus: Wrap's probe decides the engine. Where the kernel
+// grants UDP_SEGMENT and UDP_GRO the default is the offload engine (still
+// batched underneath); WrapBatched never probes and never offloads.
 func TestWrapOffloadStatus(t *testing.T) {
-	pc := listenUDP(t)
-	c, st := WrapOffload(pc, 8, OffloadOptions{}, nil)
-	if st.Any() {
-		t.Fatalf("no features requested but status = %+v", st)
-	}
+	c := Wrap(listenUDP(t), 8, nil)
 	if !c.Batched() {
-		t.Fatal("WrapOffload with no requests must still return the batched engine")
+		t.Fatal("Wrap on Linux must return a batched engine, offloaded or not")
+	}
+	if !Offloaded(c) {
+		t.Log("kernel refused the UDP_SEGMENT/UDP_GRO probe; Wrap fell back to the batched engine")
+	}
+	if b := WrapBatched(listenUDP(t), 8, nil); Offloaded(b) || !b.Batched() {
+		t.Fatal("WrapBatched must return the plain batched engine")
 	}
 }

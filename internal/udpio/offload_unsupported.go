@@ -2,16 +2,6 @@
 
 package udpio
 
-import (
-	"errors"
-	"net"
-
-	"alpha/internal/telemetry"
-)
-
-// newOffloadConn reports that segmentation offload is unavailable here;
-// WrapOffload falls back to the batched engine (itself a stub on this
-// platform) and then the portable shim.
-func newOffloadConn(*net.UDPConn, int, OffloadOptions, *telemetry.IOMetrics) (Conn, OffloadStatus, error) {
-	return nil, OffloadStatus{}, errors.New("udpio: segmentation offload unsupported on this platform")
-}
+// withOffload is never reached here: newBatchConn already failed, so Wrap
+// returns the portable shim before asking for offload.
+func withOffload(c Conn) Conn { return c }

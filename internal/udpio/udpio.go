@@ -1,9 +1,10 @@
 // Package udpio is the batched datagram I/O engine beneath the UDP
 // transport. On Linux it drains and fills the socket with recvmmsg and
 // sendmmsg — one syscall moves up to a whole ALPHA-C/M burst of datagrams —
-// and everywhere else it degrades to a portable one-datagram-at-a-time shim
-// behind the same interface, so the transport code above it never branches
-// on platform.
+// and, where the kernel grants UDP GSO/GRO, hands each run of equal-size
+// datagrams to the kernel as one segmentation-offload send. Everywhere else
+// it degrades to a portable one-datagram-at-a-time shim behind the same
+// interface, so the transport code above it never branches on platform.
 //
 // Buffer ownership follows one rule (DESIGN.md §5e): the caller owns every
 // Message.Buf. ReadBatch writes into caller-provided buffers and never
@@ -12,12 +13,11 @@
 // moment either call returns.
 //
 // Deadlines set on the underlying socket (SetReadDeadline and friends)
-// apply to both engines: the batched path waits for readiness through the
+// apply to every engine: the batched paths wait for readiness through the
 // runtime netpoller, exactly like net.PacketConn reads.
 package udpio
 
 import (
-	"io"
 	"net"
 
 	"alpha/internal/telemetry"
@@ -43,7 +43,8 @@ type Message struct {
 // many of ms as the socket can supply without blocking again and returns
 // the count; every ms[i].Buf must be non-empty. WriteBatch transmits all
 // messages (ms[i].Buf[:ms[i].N] to ms[i].Addr) and returns the number sent,
-// short only on error. Both are safe for concurrent use.
+// short only on error; the engine counts the unsent remainder in its
+// IOMetrics (io_datagrams_unsent). Both are safe for concurrent use.
 type Conn interface {
 	ReadBatch(ms []Message) (int, error)
 	WriteBatch(ms []Message) (int, error)
@@ -52,11 +53,26 @@ type Conn interface {
 	Batched() bool
 }
 
-// Wrap returns the best Conn for pc: the recvmmsg/sendmmsg engine when pc
-// is a *net.UDPConn on a supported platform, the portable shim otherwise.
-// batch caps the datagrams moved per syscall (0 means DefaultBatch); m
-// receives I/O accounting and may be nil.
+// Wrap returns the best Conn for pc. On Linux that is the segmentation-
+// offload engine: recvmmsg/sendmmsg plus UDP GSO sends (each run of
+// equal-size datagrams to one destination crosses the kernel UDP stack
+// once) and UDP GRO receives. Wrap probes UDP_SEGMENT and UDP_GRO on the
+// socket and falls back to the plain batched engine when the kernel refuses
+// either; elsewhere, or when pc is not a *net.UDPConn, it returns the
+// portable shim. batch caps the datagrams moved per syscall (0 means
+// DefaultBatch); m receives I/O accounting and may be nil.
 func Wrap(pc net.PacketConn, batch int, m *telemetry.IOMetrics) Conn {
+	return wrap(pc, batch, true, m)
+}
+
+// WrapBatched is Wrap without the offload probe: the recvmmsg/sendmmsg
+// engine on Linux, the portable shim elsewhere. It is the engine Wrap falls
+// back to, exposed so tests and benchmarks can pin it.
+func WrapBatched(pc net.PacketConn, batch int, m *telemetry.IOMetrics) Conn {
+	return wrap(pc, batch, false, m)
+}
+
+func wrap(pc net.PacketConn, batch int, offload bool, m *telemetry.IOMetrics) Conn {
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
@@ -65,71 +81,27 @@ func Wrap(pc net.PacketConn, batch int, m *telemetry.IOMetrics) Conn {
 	}
 	if uc, ok := pc.(*net.UDPConn); ok {
 		if c, err := newBatchConn(uc, batch, m); err == nil {
+			if offload {
+				return withOffload(c)
+			}
 			return c
 		}
 	}
 	return &portableConn{pc: pc, m: m}
 }
 
-// OffloadOptions requests segmentation-offload features on top of the
-// batched engine. Each one is a request, not a demand: setup probes the
-// kernel per feature and keeps whatever sticks.
-type OffloadOptions struct {
-	// GSO packs same-destination, equal-size runs into one UDP_SEGMENT-
-	// tagged send — one kernel UDP traversal per run (Linux ≥ 4.18).
-	GSO bool
-	// GRO enables UDP_GRO so the kernel may deliver coalesced datagrams,
-	// which the engine splits back out by the segment-size cmsg (≥ 5.0).
-	GRO bool
-	// ZeroCopy opts sends into MSG_ZEROCOPY with an errqueue completion
-	// reaper; the engine downgrades itself on ENOBUFS or copied
-	// completions (≥ 4.14 for UDP).
-	ZeroCopy bool
+// Offloaded reports whether c is the segmentation-offload engine, i.e.
+// whether the kernel granted Wrap's UDP_SEGMENT/UDP_GRO probe.
+func Offloaded(c Conn) bool {
+	_, ok := c.(interface{ offloaded() })
+	return ok
 }
 
-// enabled reports whether any offload feature is requested.
-func (o OffloadOptions) enabled() bool { return o.GSO || o.GRO || o.ZeroCopy }
-
-// OffloadStatus reports which requested offload features the kernel
-// actually granted. The zero value means the offload tier is not live.
-type OffloadStatus struct {
-	GSO      bool
-	GRO      bool
-	ZeroCopy bool
-}
-
-// Any reports whether at least one offload feature is live.
-func (s OffloadStatus) Any() bool { return s.GSO || s.GRO || s.ZeroCopy }
-
-// WrapOffload returns the best Conn for pc with the requested offload
-// features, degrading feature-by-feature: offload engine with whatever the
-// kernel grants, then the batched engine, then the portable shim. The
-// returned status says what is live so callers can log one downgrade
-// warning and move on.
-func WrapOffload(pc net.PacketConn, batch int, opts OffloadOptions, m *telemetry.IOMetrics) (Conn, OffloadStatus) {
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
-	if m == nil {
-		m = new(telemetry.IOMetrics)
-	}
-	if uc, ok := pc.(*net.UDPConn); ok && opts.enabled() {
-		if c, st, err := newOffloadConn(uc, batch, opts, m); err == nil {
-			return c, st
-		}
-	}
-	return Wrap(pc, batch, m), OffloadStatus{}
-}
-
-// CloseEngine releases engine-owned resources (the zero-copy completion
-// reaper, offload slabs) without closing the underlying socket. Engines
-// with nothing to release are a no-op.
-func CloseEngine(c Conn) error {
-	if cl, ok := c.(io.Closer); ok {
-		return cl.Close()
-	}
-	return nil
-}
+// CloseEngine releases engine-owned resources without closing the
+// underlying socket. Every engine's resources are plain memory the garbage
+// collector reclaims, so it is a no-op, kept for callers that pair it with
+// Wrap.
+func CloseEngine(Conn) error { return nil }
 
 // Portable wraps pc with the one-datagram-at-a-time fallback regardless of
 // platform — the reference implementation the batched engine must agree
@@ -167,6 +139,7 @@ func (c *portableConn) ReadBatch(ms []Message) (int, error) {
 func (c *portableConn) WriteBatch(ms []Message) (int, error) {
 	for i := range ms {
 		if _, err := c.pc.WriteTo(ms[i].Buf[:ms[i].N], ms[i].Addr); err != nil {
+			c.m.NoteUnsent(len(ms) - i)
 			return i, err
 		}
 		c.m.NoteWrite(1)

@@ -21,8 +21,9 @@ func listenUDP(t *testing.T) *net.UDPConn {
 	return pc.(*net.UDPConn)
 }
 
-// engines returns both implementations over fresh sockets so every test
-// runs against the batched and the portable path.
+// engines returns every implementation the platform has — the offload
+// engine where the kernel grants it, the batched engine, and the portable
+// shim — so every test runs against each path.
 func engines(t *testing.T) map[string]func(pc *net.UDPConn, m *telemetry.IOMetrics) Conn {
 	t.Helper()
 	e := map[string]func(pc *net.UDPConn, m *telemetry.IOMetrics) Conn{
@@ -30,8 +31,13 @@ func engines(t *testing.T) map[string]func(pc *net.UDPConn, m *telemetry.IOMetri
 			return Portable(pc, m)
 		},
 	}
-	if c, err := newBatchConn(listenUDP(t), 4, new(telemetry.IOMetrics)); err == nil && c.Batched() {
+	if WrapBatched(listenUDP(t), 4, nil).Batched() {
 		e["batched"] = func(pc *net.UDPConn, m *telemetry.IOMetrics) Conn {
+			return WrapBatched(pc, 8, m)
+		}
+	}
+	if Offloaded(Wrap(listenUDP(t), 4, nil)) {
+		e["offload"] = func(pc *net.UDPConn, m *telemetry.IOMetrics) Conn {
 			return Wrap(pc, 8, m)
 		}
 	}
@@ -132,7 +138,7 @@ func TestReadBatchDrainsMultiple(t *testing.T) {
 		t.Skip("batched engine is Linux-only")
 	}
 	apc, bpc := listenUDP(t), listenUDP(t)
-	b := Wrap(bpc, 8, nil)
+	b := WrapBatched(bpc, 8, nil)
 	if !b.Batched() {
 		t.Skip("batched engine unavailable on this arch")
 	}
@@ -168,7 +174,7 @@ func TestBatchedZeroAlloc(t *testing.T) {
 		t.Skip("batched engine is Linux-only")
 	}
 	apc, bpc := listenUDP(t), listenUDP(t)
-	a, b := Wrap(apc, 8, nil), Wrap(bpc, 8, nil)
+	a, b := WrapBatched(apc, 8, nil), WrapBatched(bpc, 8, nil)
 	if !a.Batched() || !b.Batched() {
 		t.Skip("batched engine unavailable on this arch")
 	}
@@ -213,6 +219,79 @@ func TestWriteBatchFamilyMismatch(t *testing.T) {
 	dst := &net.UDPAddr{IP: net.ParseIP("2001:db8::1"), Port: 9}
 	if _, err := a.WriteBatch([]Message{{Buf: []byte("x"), N: 1, Addr: dst}}); err == nil {
 		t.Fatal("IPv6 destination on IPv4 socket: want error, got nil")
+	}
+}
+
+// TestWriteBatchCountsUnsent: datagrams a write hands back unsent must
+// surface in DatagramsUnsent (io_datagrams_unsent) rather than vanish. The
+// socket refuses the last datagram of the burst (EMSGSIZE: larger than any
+// UDP payload), so exactly one is counted and the short count says so.
+func TestWriteBatchCountsUnsent(t *testing.T) {
+	for name, mk := range engines(t) {
+		t.Run(name, func(t *testing.T) {
+			apc, bpc := listenUDP(t), listenUDP(t)
+			var m telemetry.IOMetrics
+			a := mk(apc, m.Init())
+			small := []byte("fits")
+			huge := make([]byte, 70000)
+			out := []Message{
+				{Buf: small, N: len(small), Addr: bpc.LocalAddr()},
+				{Buf: small, N: len(small), Addr: bpc.LocalAddr()},
+				{Buf: huge, N: len(huge), Addr: bpc.LocalAddr()},
+			}
+			sent, err := a.WriteBatch(out)
+			if err == nil || sent != 2 {
+				t.Fatalf("WriteBatch = %d, %v; want 2 and an error", sent, err)
+			}
+			if got := m.DatagramsUnsent.Load(); got != 1 {
+				t.Fatalf("DatagramsUnsent = %d; want 1", got)
+			}
+			if got := m.DatagramsWritten.Load(); got != 2 {
+				t.Fatalf("DatagramsWritten = %d; want 2", got)
+			}
+		})
+	}
+}
+
+// TestWriteToClosedPeerCountsUnsent: once a connected peer's socket has
+// closed, the kernel's ICMP port-unreachable turns the next send into
+// ECONNREFUSED, and the refused datagrams must be counted. The portable
+// shim is exempt: net.UDPConn refuses WriteTo on a connected socket.
+func TestWriteToClosedPeerCountsUnsent(t *testing.T) {
+	for name, mk := range engines(t) {
+		if name == "portable" {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			dead := listenUDP(t)
+			peer := dead.LocalAddr().(*net.UDPAddr)
+			dead.Close()
+			uc, err := net.DialUDP("udp", nil, peer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { uc.Close() })
+			var m telemetry.IOMetrics
+			a := mk(uc, m.Init())
+			out := []Message{{Buf: []byte("gone"), N: 4, Addr: peer}}
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				sent, err := a.WriteBatch(out)
+				if err != nil {
+					if sent != 0 || m.DatagramsUnsent.Load() != 1 {
+						t.Fatalf("refused write: sent %d, unsent %d; want 0, 1", sent, m.DatagramsUnsent.Load())
+					}
+					return
+				}
+				if m.DatagramsUnsent.Load() != 0 {
+					t.Fatalf("successful write counted %d unsent", m.DatagramsUnsent.Load())
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("sends to a closed peer never failed")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 

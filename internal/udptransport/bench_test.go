@@ -2,7 +2,7 @@
 // many kernel UDP-stack traversals, and how much wall time it takes to push
 // a real ALPHA-C/M burst (the S1 plus its S2 packets) through a UDP socket
 // pair — portable one-datagram-at-a-time, batched recvmmsg/sendmmsg, and
-// the GSO/GRO segmentation-offload engine.
+// the default engine (GSO/GRO segmentation offload).
 
 package udptransport
 
@@ -78,7 +78,7 @@ func captureBurst(b *testing.B, mode packet.Mode, n int) [][]byte {
 func BenchmarkUDPBurst(b *testing.B) {
 	for _, mode := range []packet.Mode{packet.ModeC, packet.ModeM} {
 		burst := captureBurst(b, mode, 16)
-		for _, eng := range []string{"gso", "batched", "portable"} {
+		for _, eng := range []string{"default", "batched", "portable"} {
 			b.Run(fmt.Sprintf("%s/n=16/%s", mode, eng), func(b *testing.B) {
 				benchBurst(b, burst, eng)
 			})
@@ -107,17 +107,13 @@ func benchBurst(b *testing.B, burst [][]byte, engine string) {
 	case "portable":
 		w, r = udpio.Portable(spc, &wm), udpio.Portable(rpc, &rm)
 	case "batched":
-		w, r = udpio.Wrap(spc, udpio.DefaultBatch, &wm), udpio.Wrap(rpc, udpio.DefaultBatch, &rm)
+		w, r = udpio.WrapBatched(spc, udpio.DefaultBatch, &wm), udpio.WrapBatched(rpc, udpio.DefaultBatch, &rm)
 		if !w.Batched() || !r.Batched() {
 			b.Skip("batched engine unavailable on this platform")
 		}
-	case "gso":
-		var wst, rst udpio.OffloadStatus
-		w, wst = udpio.WrapOffload(spc, udpio.DefaultBatch, udpio.OffloadOptions{GSO: true}, &wm)
-		r, rst = udpio.WrapOffload(rpc, udpio.DefaultBatch, udpio.OffloadOptions{GRO: true}, &rm)
-		defer udpio.CloseEngine(w)
-		defer udpio.CloseEngine(r)
-		if !wst.GSO || !rst.GRO {
+	case "default":
+		w, r = udpio.Wrap(spc, udpio.DefaultBatch, &wm), udpio.Wrap(rpc, udpio.DefaultBatch, &rm)
+		if !udpio.Offloaded(w) || !udpio.Offloaded(r) {
 			b.Skip("kernel lacks UDP_SEGMENT/UDP_GRO")
 		}
 	default:

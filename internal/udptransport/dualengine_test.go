@@ -1,5 +1,5 @@
 // Multi-engine harness: every data-path test in this package runs once per
-// I/O engine tier — the segmentation-offload engine (GSO/GRO, where the
+// I/O engine — the default engine (GSO/GRO segmentation offload, where the
 // kernel has it), the batched recvmmsg/sendmmsg engine, and the portable
 // fallback — so the implementations cannot drift apart behaviourally.
 
@@ -18,10 +18,11 @@ import (
 )
 
 // engineCases enumerates the I/O engines under test. On platforms without
-// an engine, its case silently runs the next tier down (WrapOffload and
-// Wrap both fall back), which keeps the suite green everywhere. The
-// ALPHA_TEST_IO environment variable ("offload", "no-offload", "portable")
-// narrows the matrix to one leg — the switch the CI offload matrix flips.
+// an engine, its case silently runs the next one down (udpio.Wrap and
+// udpio.WrapBatched both fall back), which keeps the suite green
+// everywhere. The ALPHA_TEST_IO environment variable ("offload",
+// "batched", "portable") narrows the matrix to one leg — the switch the CI
+// offload matrix flips.
 func engineCases() []struct {
 	name string
 	opts IOOptions
@@ -30,17 +31,17 @@ func engineCases() []struct {
 		name string
 		opts IOOptions
 	}{
-		{"offload", IOOptions{GSO: true}},
-		{"batched", IOOptions{ForceNoOffload: true}},
-		{"portable", IOOptions{ForcePortable: true}},
+		{"offload", IOOptions{}},
+		{"batched", IOOptions{Engine: EngineBatched}},
+		{"portable", IOOptions{Engine: EnginePortable}},
 	}
-	switch os.Getenv("ALPHA_TEST_IO") {
-	case "offload":
-		return all[:1]
-	case "no-offload":
-		return all[1:2]
-	case "portable":
-		return all[2:]
+	for _, e := range all {
+		if e.name == os.Getenv("ALPHA_TEST_IO") {
+			return []struct {
+				name string
+				opts IOOptions
+			}{e}
+		}
 	}
 	return all
 }

@@ -1,37 +1,40 @@
 // I/O engine selection for the UDP transport. Every socket the package
-// touches is wrapped in a udpio.Conn: the segmentation-offload engine when
-// requested and granted, batched recvmmsg/sendmmsg where the platform
-// supports it, the portable one-datagram shim everywhere else.
+// touches is wrapped in a udpio.Conn: by default the segmentation-offload
+// engine where the kernel grants UDP GSO/GRO, batched recvmmsg/sendmmsg
+// where it refuses, the portable one-datagram shim off Linux.
 
 package udptransport
 
 import (
-	"strings"
+	"net"
 
 	"alpha/internal/telemetry"
 	"alpha/internal/udpio"
-	"net"
+)
+
+// Engine selects the datagram I/O engine beneath a transport.
+type Engine uint8
+
+const (
+	// EngineDefault is udpio.Wrap's ladder: GSO/GRO offload, then the
+	// batched engine when the kernel refuses the offload probe, then the
+	// portable shim off Linux.
+	EngineDefault Engine = iota
+	// EngineBatched pins recvmmsg/sendmmsg without segmentation offload.
+	EngineBatched
+	// EnginePortable pins the one-datagram-per-syscall shim.
+	EnginePortable
 )
 
 // IOOptions selects and sizes the datagram I/O engine.
 type IOOptions struct {
-	// Batch caps the datagrams moved per syscall on the batched engine and
+	// Batch caps the datagrams moved per syscall on the batched engines and
 	// sizes the read slabs. 0 means udpio.DefaultBatch.
 	Batch int
-	// ForcePortable pins the portable one-datagram engine even where the
-	// batched one is available — the switch the dual-engine test suite and
-	// the before/after benchmarks flip.
-	ForcePortable bool
-	// GSO requests UDP segmentation offload: same-size send runs packed
-	// into UDP_SEGMENT-tagged bursts, and UDP_GRO coalesced receives split
-	// back out (Linux ≥ 4.18 / ≥ 5.0). Probed at setup; unsupported
-	// kernels keep the batched engine.
-	GSO bool
-	// ZeroCopy opts sends into MSG_ZEROCOPY with automatic downgrade.
-	ZeroCopy bool
-	// ForceNoOffload pins the batched engine even when offload is
-	// requested — the downgrade-path test hook mirroring ForcePortable.
-	ForceNoOffload bool
+	// Engine pins an engine; the zero value is the default ladder. The
+	// other settings exist for the engine-matrix tests and before/after
+	// benchmarks.
+	Engine Engine
 	// Prefilter enables the stateless per-packet prefilter
 	// (packet.Prefilter): outgoing packets are stamped with an
 	// address-bound filter cookie, and — on the server and relay — inbound
@@ -69,60 +72,26 @@ func (o IOOptions) batch() int {
 	return o.Batch
 }
 
-// offload translates the transport-level flags into an engine request.
-// One GSO flag drives both directions: a node that packs its sends wants
-// its receives split too.
-func (o IOOptions) offload() udpio.OffloadOptions {
-	if o.ForcePortable || o.ForceNoOffload {
-		return udpio.OffloadOptions{}
-	}
-	return udpio.OffloadOptions{GSO: o.GSO, GRO: o.GSO, ZeroCopy: o.ZeroCopy}
-}
-
-// wrap builds the configured engine over pc.
+// wrap builds the selected engine over pc.
 func (o IOOptions) wrap(pc net.PacketConn, m *telemetry.IOMetrics) udpio.Conn {
-	c, _ := o.wrapStatus(pc, m)
-	return c
+	switch o.Engine {
+	case EngineBatched:
+		return udpio.WrapBatched(pc, o.batch(), m)
+	case EnginePortable:
+		return udpio.Portable(pc, m)
+	}
+	return udpio.Wrap(pc, o.batch(), m)
 }
 
-// wrapStatus is wrap plus the offload feature set the kernel granted, so
-// callers can log one downgrade warning and continue.
-func (o IOOptions) wrapStatus(pc net.PacketConn, m *telemetry.IOMetrics) (udpio.Conn, udpio.OffloadStatus) {
-	if o.ForcePortable {
-		return udpio.Portable(pc, m), udpio.OffloadStatus{}
-	}
-	if off := o.offload(); off.GSO || off.GRO || off.ZeroCopy {
-		return udpio.WrapOffload(pc, o.batch(), off, m)
-	}
-	return udpio.Wrap(pc, o.batch(), m), udpio.OffloadStatus{}
-}
-
-// DowngradeWarning renders one log-ready sentence when st grants less than
-// the options requested, or "" when nothing was lost. Explicit ForcePortable
-// and ForceNoOffload are silent: the caller asked for the downgrade.
-func (o IOOptions) DowngradeWarning(st udpio.OffloadStatus) string {
-	if o.ForcePortable || o.ForceNoOffload {
+// downgradeWarning renders the one log line a node prints when the default
+// engine's offload probe was refused and c runs the batched engine instead,
+// or "" when nothing was lost: offload granted, an engine pinned on
+// purpose, or no probe made (the portable shim off Linux).
+func (o IOOptions) downgradeWarning(c udpio.Conn) string {
+	if o.Engine != EngineDefault || !c.Batched() || udpio.Offloaded(c) {
 		return ""
 	}
-	var miss []string
-	if o.GSO && !st.GSO {
-		miss = append(miss, "gso")
-	}
-	if o.GSO && !st.GRO {
-		miss = append(miss, "gro")
-	}
-	if o.ZeroCopy && !st.ZeroCopy {
-		miss = append(miss, "zerocopy")
-	}
-	if len(miss) == 0 {
-		return ""
-	}
-	engine := "batched"
-	if st.Any() {
-		engine = "partial offload"
-	}
-	return "udp offload unavailable on this kernel: " + strings.Join(miss, ", ") +
-		"; continuing on the " + engine + " engine"
+	return "udp offload (UDP_SEGMENT/UDP_GRO) unavailable on this kernel; continuing on the batched engine"
 }
 
 // connBatch sizes a single-association Conn's read slab: one association

@@ -9,41 +9,50 @@ import (
 )
 
 // TestOffloadDowngradeWarning covers the fail-fast probing contract: a node
-// started with -gso/-zerocopy on a kernel that grants neither gets exactly
-// one human-readable warning and keeps running on the batched engine, while
-// explicitly requested downgrades (ForcePortable/ForceNoOffload) stay silent.
+// whose kernel refuses the default engine's UDP_SEGMENT/UDP_GRO probe gets
+// exactly one human-readable warning and keeps running on the batched
+// engine, while a pinned engine or a platform with no probe stays silent.
 func TestOffloadDowngradeWarning(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	offload := udpio.Wrap(pc, 8, nil)
+	batched := udpio.WrapBatched(pc, 8, nil)
+	portable := udpio.Portable(pc, nil)
+	if !batched.Batched() {
+		t.Skip("no batched engine on this platform")
+	}
+
 	cases := []struct {
-		name    string
-		opts    IOOptions
-		granted udpio.OffloadStatus
-		want    []string // substrings of the warning; empty means no warning
+		name   string
+		opts   IOOptions
+		engine udpio.Conn
+		warn   bool
 	}{
-		{"nothing requested", IOOptions{}, udpio.OffloadStatus{}, nil},
-		{"all granted", IOOptions{GSO: true, ZeroCopy: true},
-			udpio.OffloadStatus{GSO: true, GRO: true, ZeroCopy: true}, nil},
-		{"all denied", IOOptions{GSO: true, ZeroCopy: true},
-			udpio.OffloadStatus{}, []string{"gso", "gro", "zerocopy", "batched engine"}},
-		{"gso denied only", IOOptions{GSO: true, ZeroCopy: true},
-			udpio.OffloadStatus{ZeroCopy: true}, []string{"gso", "gro", "partial offload"}},
-		{"force-no-offload is silent", IOOptions{GSO: true, ZeroCopy: true, ForceNoOffload: true},
-			udpio.OffloadStatus{}, nil},
-		{"force-portable is silent", IOOptions{GSO: true, ForcePortable: true},
-			udpio.OffloadStatus{}, nil},
+		// The default engine with no probe to refuse: the portable shim
+		// off Linux.
+		{"nothing requested", IOOptions{}, portable, false},
+		{"all granted", IOOptions{}, offload, false},
+		// The probe was refused, so the default ladder landed on batched.
+		{"all denied", IOOptions{}, batched, true},
+		{"force-no-offload is silent", IOOptions{Engine: EngineBatched}, batched, false},
+		{"force-portable is silent", IOOptions{Engine: EnginePortable}, portable, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := tc.opts.DowngradeWarning(tc.granted)
-			if len(tc.want) == 0 {
+			if tc.engine == offload && !udpio.Offloaded(offload) {
+				t.Skip("kernel lacks UDP_SEGMENT/UDP_GRO")
+			}
+			w := tc.opts.downgradeWarning(tc.engine)
+			if !tc.warn {
 				if w != "" {
 					t.Fatalf("unexpected warning %q", w)
 				}
 				return
 			}
-			if w == "" {
-				t.Fatal("expected a downgrade warning, got none")
-			}
-			for _, sub := range tc.want {
+			for _, sub := range []string{"UDP_SEGMENT", "UDP_GRO", "batched engine"} {
 				if !strings.Contains(w, sub) {
 					t.Errorf("warning %q missing %q", w, sub)
 				}
@@ -52,33 +61,39 @@ func TestOffloadDowngradeWarning(t *testing.T) {
 	}
 }
 
-// TestForceNoOffloadPinsBatched: the test hook must bypass the offload
-// probe entirely — the engine comes back batched with a zero status even
-// when the flags ask for everything, mirroring ForcePortable's pin.
-func TestForceNoOffloadPinsBatched(t *testing.T) {
+// TestEngineSelectorPins: each Engine value builds exactly its engine. The
+// default probes offload (and warns only when the probe is refused); the
+// batched and portable pins bypass the probe and never warn.
+func TestEngineSelectorPins(t *testing.T) {
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pc.Close()
 
-	opts := IOOptions{GSO: true, ZeroCopy: true, ForceNoOffload: true}
-	if off := opts.offload(); off.GSO || off.GRO || off.ZeroCopy {
-		t.Fatalf("ForceNoOffload leaked an offload request: %+v", off)
+	def := IOOptions{}.wrap(pc, nil)
+	if def.Batched() && !udpio.Offloaded(def) && (IOOptions{}).downgradeWarning(def) == "" {
+		t.Fatal("default engine fell back to batched without a downgrade warning")
 	}
-	c, st := opts.wrapStatus(pc, nil)
-	defer udpio.CloseEngine(c)
-	if st.Any() {
-		t.Fatalf("ForceNoOffload returned offload status %+v", st)
-	}
-	if w := opts.DowngradeWarning(st); w != "" {
-		t.Fatalf("explicit downgrade must be silent, got %q", w)
+	if udpio.Offloaded(def) && (IOOptions{}).downgradeWarning(def) != "" {
+		t.Fatal("default engine warned although offload was granted")
 	}
 
-	popts := IOOptions{GSO: true, ForcePortable: true}
-	p, pst := popts.wrapStatus(pc, nil)
-	defer udpio.CloseEngine(p)
-	if pst.Any() || p.Batched() {
-		t.Fatalf("ForcePortable must pin the portable engine (status %+v, batched %v)", pst, p.Batched())
+	bopts := IOOptions{Engine: EngineBatched}
+	b := bopts.wrap(pc, nil)
+	if udpio.Offloaded(b) {
+		t.Fatal("EngineBatched returned the offload engine")
+	}
+	if w := bopts.downgradeWarning(b); w != "" {
+		t.Fatalf("explicit batched pin must be silent, got %q", w)
+	}
+
+	popts := IOOptions{Engine: EnginePortable}
+	p := popts.wrap(pc, nil)
+	if p.Batched() || udpio.Offloaded(p) {
+		t.Fatal("EnginePortable must pin the portable engine")
+	}
+	if w := popts.downgradeWarning(p); w != "" {
+		t.Fatalf("explicit portable pin must be silent, got %q", w)
 	}
 }

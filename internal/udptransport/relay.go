@@ -23,12 +23,12 @@ import (
 // pooled buffers, every verified datagram of the burst is forwarded with
 // one sendmmsg, and the slab is reused for the next burst.
 type Relay struct {
-	pc      net.PacketConn
-	io      udpio.Conn
-	offload udpio.OffloadStatus
-	a, b    *net.UDPAddr
-	r       *relay.Relay
-	mu      sync.Mutex
+	pc        net.PacketConn
+	io        udpio.Conn
+	downgrade string
+	a, b      *net.UDPAddr
+	r         *relay.Relay
+	mu        sync.Mutex
 
 	// Stateless prefilter state (IOOptions.Prefilter): inbound datagrams
 	// are checked against the sender's address-bound cookie before
@@ -65,7 +65,8 @@ func NewRelayOpts(pc net.PacketConn, a, b net.Addr, cfg relay.Config, opts IOOpt
 		closed: make(chan struct{}),
 	}
 	r.tel.Init()
-	r.io, r.offload = opts.wrapStatus(pc, &r.tel.IO)
+	r.io = opts.wrap(pc, &r.tel.IO)
+	r.downgrade = opts.downgradeWarning(r.io)
 	r.prefilter = opts.Prefilter
 	if opts.Prefilter {
 		r.stampIP, r.stampPort = addrIPPort(pc.LocalAddr())
@@ -122,16 +123,16 @@ func (r *Relay) Telemetry() *telemetry.RelayMetrics { return r.r.Telemetry() }
 // accounting.
 func (r *Relay) TransportTelemetry() *telemetry.RelayTransportMetrics { return &r.tel }
 
-// OffloadStatus reports which requested offload features the kernel
-// granted on the relay's socket (zero when none were requested).
-func (r *Relay) OffloadStatus() udpio.OffloadStatus { return r.offload }
+// DowngradeWarning is the one log line to print when the kernel refused
+// the default engine's offload probe on the relay's socket, "" when nothing
+// was lost.
+func (r *Relay) DowngradeWarning() string { return r.downgrade }
 
 // Close stops the relay and closes its socket.
 func (r *Relay) Close() error {
 	r.closeOnce.Do(func() {
 		close(r.closed)
 		r.pc.Close()
-		udpio.CloseEngine(r.io)
 	})
 	r.wg.Wait()
 	return nil

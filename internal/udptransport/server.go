@@ -38,8 +38,11 @@
 // demuxing. Buffers are recycled once the engine has consumed them: the
 // decoded fields alias the datagram, but Handle copies whatever it keeps
 // before returning, so a buffer is dead the moment Handle returns. Session
-// replies leave through a coalescing writer: everything a Poll produces
-// (the S2s of a burst plus its S1) goes out in one sendmmsg.
+// replies leave through a coalescing writer, pumped once per inbox drain
+// rather than once per datagram: everything the drain and its one Poll
+// produce (the S2s of a burst plus its S1, or the A2s answering a run of
+// S2s) goes out in one WriteBatch — on Linux one sendmmsg whose equal-size
+// runs the offload engine packs into single GSO sends.
 
 package udptransport
 
@@ -202,12 +205,12 @@ func (o ServerOptions) inboxSize() int {
 // Server accepts ALPHA associations on a shared datagram socket, or on a
 // group of SO_REUSEPORT sockets each with its own read loop.
 type Server struct {
-	pcs     []net.PacketConn
-	ios     []udpio.Conn
-	cfg     core.Config
-	opts    ServerOptions
-	io      IOOptions
-	offload udpio.OffloadStatus // granted on the first socket; sockets are siblings
+	pcs       []net.PacketConn
+	ios       []udpio.Conn
+	cfg       core.Config
+	opts      ServerOptions
+	io        IOOptions
+	downgrade string // from the first socket; sockets are siblings
 
 	shards [sessionShards]sessionShard
 
@@ -294,13 +297,10 @@ func NewServerWith(cfg core.Config, opts ServerOptions, pcs ...net.PacketConn) *
 	}
 	s.ios = make([]udpio.Conn, len(pcs))
 	for i, pc := range pcs {
-		io, st := opts.IO.wrapStatus(pc, &s.tel.IO)
-		s.ios[i] = io
-		if i == 0 {
-			s.offload = st
-		}
+		s.ios[i] = opts.IO.wrap(pc, &s.tel.IO)
 	}
 	if len(pcs) > 0 {
+		s.downgrade = opts.IO.downgradeWarning(s.ios[0])
 		s.stampIP, s.stampPort = addrIPPort(pcs[0].LocalAddr())
 	}
 	s.lastRotate = time.Now().UnixNano()
@@ -416,19 +416,17 @@ func (s *Server) Sessions() int {
 // LocalAddr returns the address of the server's (first) socket.
 func (s *Server) LocalAddr() net.Addr { return s.pcs[0].LocalAddr() }
 
-// OffloadStatus reports which requested offload features the kernel
-// granted on this server's sockets (zero when none were requested).
-func (s *Server) OffloadStatus() udpio.OffloadStatus { return s.offload }
+// DowngradeWarning is the one log line to print when the kernel refused
+// the default engine's offload probe on the server's sockets, "" when
+// nothing was lost.
+func (s *Server) DowngradeWarning() string { return s.downgrade }
 
-// shutdownSockets closes every socket and releases engine-owned resources;
-// run under closeOnce from Close or a failing read loop.
+// shutdownSockets closes every socket; run under closeOnce from Close or a
+// failing read loop.
 func (s *Server) shutdownSockets() {
 	close(s.closed)
 	for _, pc := range s.pcs {
 		pc.Close()
-	}
-	for _, io := range s.ios {
-		udpio.CloseEngine(io)
 	}
 }
 
@@ -660,11 +658,15 @@ func (s *Server) workerLoop(w *worker) {
 	}
 }
 
-// runSession performs one owned turn for a session: a due timer pump and a
-// bounded drain of the inbox. The ownership token is released before the
-// final emptiness re-check, so a dispatcher that raced our drain either
-// sees the token free (and schedules) or we see its datagram (and
-// reschedule ourselves) — work is never stranded.
+// runSession performs one owned turn for a session: a due timer pump, a
+// bounded drain of the inbox, and then one pump for everything the drain
+// produced. Pumping once per drain rather than once per datagram is what
+// lets the replies to a burst — the A2s answering an ALPHA-M exchange's
+// S2s — leave as one WriteBatch, which the offload engine turns into one
+// GSO run. The ownership token is released before the final emptiness
+// re-check, so a dispatcher that raced our drain either sees the token free
+// (and schedules) or we see its datagram (and reschedule ourselves) — work
+// is never stranded.
 func (s *Server) runSession(sess *Session) {
 	if sess.stopped() {
 		// Retired session still queued: release the token and let the
@@ -679,6 +681,7 @@ func (s *Server) runSession(sess *Session) {
 		sess.mu.Unlock()
 	}
 	budget := cap(sess.inbox)
+	var last time.Time
 drain:
 	for i := 0; i < budget; i++ {
 		select {
@@ -686,9 +689,16 @@ drain:
 			sess.handle(d.now, d.from, d.via, (*d.buf)[:d.n], s)
 			s.tel.DispatchLatency.Observe(time.Since(d.now).Nanoseconds())
 			bufPool.Put(d.buf)
+			last = d.now
 		default:
 			break drain
 		}
+	}
+	// A session retired inside handle (accept backlog full) sends nothing.
+	if !last.IsZero() && !sess.stopped() {
+		sess.mu.Lock()
+		sess.pumpLocked(last)
+		sess.mu.Unlock()
 	}
 	sess.scheduled.Store(false)
 	if len(sess.inbox) > 0 || sess.pumpDue.Load() {
@@ -1048,9 +1058,10 @@ func (s *Session) stopped() bool {
 	}
 }
 
-// handle feeds one datagram into the session's engine. The engine copies
-// everything it keeps, so data may be recycled once this returns. Called
-// only by the session's current owner (see runSession).
+// handle feeds one datagram into the session's engine without pumping:
+// runSession pumps once after the whole drain. The engine copies everything
+// it keeps, so data may be recycled once this returns. Called only by the
+// session's current owner (see runSession).
 func (s *Session) handle(now time.Time, from net.Addr, via udpio.Conn, data []byte, srv *Server) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1074,7 +1085,6 @@ func (s *Session) handle(now time.Time, from net.Addr, via udpio.Conn, data []by
 		}
 		s.forwardEvent(ev)
 	}
-	s.pumpLocked(now)
 }
 
 // forwardEvent hands one engine event to the consumer (best-effort, counted
@@ -1092,9 +1102,10 @@ func (s *Session) forwardEvent(ev core.Event) {
 }
 
 // pumpLocked drains the engine outbox through the coalescing writer: the
-// whole Poll harvest — an ALPHA-C/M burst's S2s plus its S1 — leaves in
-// one WriteBatch, hence (on Linux) one sendmmsg. It then re-arms the
-// session's slot on the shared deadline heap from the engine's next
+// whole Poll harvest — an ALPHA-C/M burst's S2s plus its S1, or the A2s
+// answering a drained run of S2s — leaves in one WriteBatch, hence (on
+// Linux) one sendmmsg with each equal-size run GSO-packed. It then re-arms
+// the session's slot on the shared deadline heap from the engine's next
 // timeout. Callers hold s.mu.
 func (s *Session) pumpLocked(now time.Time) {
 	out, evs := s.ep.Poll(now)

@@ -19,20 +19,22 @@ import (
 
 	"alpha/internal/core"
 	"alpha/internal/packet"
+	"alpha/internal/telemetry"
 	"alpha/internal/udpio"
 )
 
 // Conn is a blocking, goroutine-safe wrapper around one ALPHA association
 // on a datagram socket.
 type Conn struct {
-	pc      net.PacketConn
-	io      udpio.Conn
-	offload udpio.OffloadStatus
-	mu      sync.Mutex
-	ep      *core.Endpoint
-	peer    net.Addr
+	pc        net.PacketConn
+	io        udpio.Conn
+	downgrade string
+	mu        sync.Mutex
+	ep        *core.Endpoint
+	peer      net.Addr
 
 	wbatch []udpio.Message // coalescing scratch for pumpLocked
+	tel    telemetry.IOMetrics
 
 	// Outgoing filter-cookie binding (IOOptions.Prefilter): the peer's
 	// prefilter recomputes the cookie from our source address.
@@ -135,11 +137,8 @@ func newConn(pc net.PacketConn, ep *core.Endpoint, peer net.Addr, opts IOOptions
 	if opts.Batch <= 0 || opts.Batch > connBatch {
 		opts.Batch = connBatch // one association never needs the server's burst depth
 	}
-	io, st := opts.wrapStatus(pc, nil)
 	c := &Conn{
 		pc:          pc,
-		io:          io,
-		offload:     st,
 		ep:          ep,
 		peer:        peer,
 		prefilter:   opts.Prefilter,
@@ -147,6 +146,9 @@ func newConn(pc net.PacketConn, ep *core.Endpoint, peer net.Addr, opts IOOptions
 		established: make(chan struct{}),
 		closed:      make(chan struct{}),
 	}
+	c.tel.Init()
+	c.io = opts.wrap(pc, &c.tel)
+	c.downgrade = opts.downgradeWarning(c.io)
 	if opts.Prefilter {
 		c.stampIP, c.stampPort = addrIPPort(pc.LocalAddr())
 	}
@@ -175,9 +177,14 @@ func (c *Conn) Events() <-chan core.Event { return c.events }
 // must not invoke engine methods directly.
 func (c *Conn) Endpoint() *core.Endpoint { return c.ep }
 
-// OffloadStatus reports which requested offload features the kernel
-// granted on this connection's socket (zero when none were requested).
-func (c *Conn) OffloadStatus() udpio.OffloadStatus { return c.offload }
+// DowngradeWarning is the one log line to print when the kernel refused
+// the default engine's offload probe on this connection's socket, "" when
+// nothing was lost.
+func (c *Conn) DowngradeWarning() string { return c.downgrade }
+
+// IOTelemetry returns the connection's I/O engine accounting: batches,
+// datagrams, offload runs, and datagrams a refused write left unsent.
+func (c *Conn) IOTelemetry() *telemetry.IOMetrics { return &c.tel }
 
 // Peer returns the remote address (nil until a responder learns it).
 func (c *Conn) Peer() net.Addr {
@@ -216,7 +223,6 @@ func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.closed)
 		c.pc.Close()
-		udpio.CloseEngine(c.io)
 	})
 	c.wg.Wait()
 	return nil
@@ -240,7 +246,6 @@ func (c *Conn) readLoop() {
 				c.closeOnce.Do(func() {
 					close(c.closed)
 					c.pc.Close()
-					udpio.CloseEngine(c.io)
 				})
 			}
 			return
